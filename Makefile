@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos runtime fleet elastic loadgen persist bench bench-json bench-baseline bench-check bench-mem oracle clean
+.PHONY: all build vet test benchmod race chaos runtime fleet elastic loadgen persist bench bench-json bench-baseline bench-check bench-mem oracle clean
 
 all: vet build test
 
@@ -12,6 +12,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The benchmark (scafbench/) is its own Go module, so the root `go test
+# ./...` never compiles it; this keeps an internal/server API change from
+# breaking `bash scafbench/run.sh` unnoticed.
+benchmod:
+	cd scafbench && $(GO) vet ./... && $(GO) test ./...
 
 # Race-detect the concurrent paths: the parallel PDG client, the shared
 # memo cache, and their equivalence/stress suites.

@@ -2,7 +2,7 @@
 // the exact scaf-serve HTTP surface, broadcasts session mutations to every
 // backend in one serialized order (keeping their session registries and
 // IDs identical), and shards analyze/query traffic across the fleet by
-// consistent hash or round-robin.
+// consistent hash.
 //
 //	scaf-router -addr :8400 \
 //	  -backends b0=http://127.0.0.1:8347,b1=http://127.0.0.1:8348
@@ -28,7 +28,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8400", "listen address")
 	backends := flag.String("backends", "", "comma-separated id=url backend list (required)")
-	route := flag.String("route", "hash", "read routing policy: hash (consistent placement) or rr (round-robin)")
 	timeout := flag.Duration("timeout", 0, "per-backend request timeout (0: unbounded)")
 	probe := flag.Duration("probe", 2*time.Second, "down-backend health probe period (the backoff base)")
 	probeMax := flag.Duration("probe-max", 0, "cap on the probe backoff for persistently down backends (0: 16x the probe period)")
@@ -51,9 +50,6 @@ func main() {
 	if len(bk) == 0 {
 		log.Fatal("scaf-router: -backends is required")
 	}
-	if *route != "hash" && *route != "rr" {
-		log.Fatalf("scaf-router: unknown -route %q (want hash or rr)", *route)
-	}
 	if *cacheDir != "" {
 		if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
 			log.Fatalf("scaf-router: -cache-dir: %v", err)
@@ -62,7 +58,6 @@ func main() {
 
 	rt := server.NewRouter(server.RouterConfig{
 		Backends:     bk,
-		Route:        *route,
 		Timeout:      *timeout,
 		Probe:        *probe,
 		ProbeMax:     *probeMax,
@@ -72,7 +67,7 @@ func main() {
 	hs := server.NewHTTPServer(*addr, rt.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("scaf-router: listening on %s, %d backends, %s routing", *addr, len(bk), *route)
+	log.Printf("scaf-router: listening on %s, %d backends", *addr, len(bk))
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)

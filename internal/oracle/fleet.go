@@ -9,14 +9,17 @@ package oracle
 // router splices per-shard fan-out results back into one batch), and every
 // dependence query, first serially and then under concurrent fire, where
 // remote cache hits and coalescing are actually exercised.
+//
+// The fleet, persist and elastic passes share their prologue:
+// captureGolds replays one session lifecycle against a reference instance
+// and the path under test, and the reference bytes both agreed on become
+// the golds each pass's later phases must reproduce (replayGolds).
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"sync"
 	"time"
@@ -32,72 +35,139 @@ const fleetQueryCap = 64
 // identical session lifecycle against both, and reports any byte
 // divergence as KindDriftFleet.
 func checkFleetDrift(cfg Config, rep *Report, a *analysis) {
-	refSrv := server.New(server.Config{Workers: 2})
-	refH := refSrv.Handler()
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		refSrv.Shutdown(ctx)
-	}()
-
-	fl, err := bootOracleFleet()
+	ref := server.New(server.Config{Workers: 2})
+	defer shutdown(ref)
+	fl, err := server.StartHarness(server.HarnessConfig{Members: 2, Workers: 2, AutoFlush: 10 * time.Millisecond})
 	if err != nil {
 		rep.violate(Violation{Kind: KindDriftFleet, Detail: fmt.Sprintf("fleet boot: %v", err)})
 		return
 	}
-	defer fl.shutdown()
+	defer fl.Close()
 
-	createBody, _ := json.Marshal(map[string]any{
+	gs := captureGolds(cfg, rep, a, KindDriftFleet, handlerDoer(ref.Handler()), routerDoer(fl))
+	if gs == nil {
+		return
+	}
+	// Parallel phase: the serial golds must survive concurrent fire
+	// through the router, where shard fan-out, remote cache hits, and
+	// query coalescing all interleave.
+	replayGolds(rep, KindDriftFleet, "parallel", gs.golds, true, routerDoer(fl))
+}
+
+// doer sends one request down a serving path and returns the status and
+// body.
+type doer func(method, path string, body []byte) (int, []byte)
+
+// handlerDoer drives an in-process handler, no network.
+func handlerDoer(h http.Handler) doer {
+	return func(method, path string, body []byte) (int, []byte) { return do(h, method, path, body) }
+}
+
+// routerDoer sends requests through a harness fleet's router.
+func routerDoer(fl *server.Harness) doer {
+	return func(method, path string, body []byte) (int, []byte) { return fl.Do(method, fl.URL+path, body) }
+}
+
+// shutdown drains an in-process instance.
+func shutdown(srv *server.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	srv.Shutdown(ctx)
+}
+
+// gold is one request and the reference response that every later phase
+// of a pass must reproduce.
+type gold struct {
+	scheme string
+	path   string
+	body   []byte
+	want   []byte
+	query  bool
+}
+
+// reproducedBy reports whether a replayed response reproduces the gold.
+// Under concurrent fire a query may be coalesced onto an identical
+// in-flight one; that marker is timing, not semantics, so it is stripped
+// from query bodies there. Everything else is compared verbatim.
+func (g gold) reproducedBy(status int, body []byte, concurrent bool) bool {
+	if status != http.StatusOK {
+		return false
+	}
+	if concurrent && g.query {
+		return bytes.Equal(stripCoalesce(body), stripCoalesce(g.want))
+	}
+	return bytes.Equal(body, g.want)
+}
+
+// goldSession is what captureGolds leaves for the rest of a pass.
+type goldSession struct {
+	id      string
+	create  []byte // the create request body
+	created []byte // the reference's create response
+	golds   []gold
+}
+
+// captureGolds creates the session on ref and target, then per scheme
+// sends both the analyze request and up to fleetQueryCap of the queries
+// it harvests. Every response pair must be byte-equal and successful;
+// anything else is reported as kind. The agreed responses are returned as
+// golds, queries tagged so replays know which bodies may carry a coalesce
+// marker. It returns nil when the session could not be created.
+func captureGolds(cfg Config, rep *Report, a *analysis, kind string, ref, target doer) *goldSession {
+	create, _ := json.Marshal(map[string]any{
 		"name": a.name, "source": a.src, "plan": "off",
 		"hot_loops": map[string]float64{
 			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
 			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
 		},
 	})
-	refStatus, refBody := do(refH, "POST", "/sessions", createBody)
-	fltStatus, fltBody := fl.do("POST", "/sessions", createBody)
-	if refStatus != fltStatus || !bytes.Equal(refBody, fltBody) {
-		rep.violate(Violation{Kind: KindDriftFleet,
-			Detail: fmt.Sprintf("session create diverges: single %d %s, fleet %d %s",
-				refStatus, refBody, fltStatus, fltBody)})
-		return
+	rs, rb := ref("POST", "/sessions", create)
+	ts, tb := target("POST", "/sessions", create)
+	if rs != ts || !bytes.Equal(rb, tb) {
+		rep.violate(Violation{Kind: kind,
+			Detail: fmt.Sprintf("session create diverges: reference %d %s, target %d %s", rs, rb, ts, tb)})
+		return nil
 	}
-	if refStatus != http.StatusCreated {
-		rep.violate(Violation{Kind: KindDriftFleet,
-			Detail: fmt.Sprintf("session load failed on both paths: status %d: %s", refStatus, refBody)})
-		return
+	if rs != http.StatusCreated {
+		rep.violate(Violation{Kind: kind,
+			Detail: fmt.Sprintf("session load failed on both paths: status %d: %s", rs, rb)})
+		return nil
 	}
 	var info server.SessionInfo
-	if err := json.Unmarshal(refBody, &info); err != nil {
-		rep.violate(Violation{Kind: KindDriftFleet, Detail: fmt.Sprintf("bad session info: %v", err)})
-		return
+	if err := json.Unmarshal(rb, &info); err != nil {
+		rep.violate(Violation{Kind: kind, Detail: fmt.Sprintf("bad session info: %v", err)})
+		return nil
 	}
+	gs := &goldSession{id: info.ID, create: create, created: rb}
 
-	// Serial phase: analyze envelopes and every harvested query.
-	type gold struct {
-		path string
-		body []byte
-		want []byte
-	}
-	var golds []gold
-	for _, scheme := range cfg.Schemes {
-		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		path := "/sessions/" + info.ID + "/analyze"
-		rs, rb := do(refH, "POST", path, reqBody)
-		fs, fb := fl.do("POST", path, reqBody)
-		if rs != fs || !bytes.Equal(rb, fb) {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze envelope diverges:\n  single: %d %s\n  fleet:  %d %s", rs, rb, fs, fb)})
-			continue
+	// capture sends one request down both paths and keeps the agreed
+	// response as a gold; it returns that response, or nil.
+	capture := func(g gold, loop, what string) []byte {
+		rs, rb := ref("POST", g.path, g.body)
+		ts, tb := target("POST", g.path, g.body)
+		switch {
+		case rs != ts || !bytes.Equal(rb, tb):
+			rep.violate(Violation{Kind: kind, Scheme: g.scheme, Loop: loop,
+				Detail: fmt.Sprintf("%s diverges:\n  reference: %d %s\n  target:    %d %s", what, rs, rb, ts, tb)})
+		case rs != http.StatusOK:
+			rep.violate(Violation{Kind: kind, Scheme: g.scheme, Loop: loop,
+				Detail: fmt.Sprintf("%s failed on both paths: status %d: %s", what, rs, rb)})
+		default:
+			g.want = rb
+			gs.golds = append(gs.golds, g)
+			return rb
 		}
-		if rs != http.StatusOK {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("analyze failed on both paths: status %d: %s", rs, rb)})
+		return nil
+	}
+	for _, scheme := range cfg.Schemes {
+		body, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
+		raw := capture(gold{scheme: scheme.String(), path: "/sessions/" + info.ID + "/analyze", body: body}, "", "analyze envelope")
+		if raw == nil {
 			continue
 		}
 		var resp server.AnalyzeResponse
-		if err := json.Unmarshal(rb, &resp); err != nil {
-			rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(),
+		if err := json.Unmarshal(raw, &resp); err != nil {
+			rep.violate(Violation{Kind: kind, Scheme: scheme.String(),
 				Detail: fmt.Sprintf("bad analyze response: %v", err)})
 			continue
 		}
@@ -111,49 +181,50 @@ func checkFleetDrift(cfg Config, rep *Report, a *analysis) {
 				qb, _ := json.Marshal(server.QueryRequest{
 					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
 				})
-				qpath := "/sessions/" + info.ID + "/query"
-				rqs, rqb := do(refH, "POST", qpath, qb)
-				fqs, fqb := fl.do("POST", qpath, qb)
-				if rqs != fqs || !bytes.Equal(rqb, fqb) {
-					rep.violate(Violation{Kind: KindDriftFleet, Scheme: scheme.String(), Loop: lr.Loop,
-						Detail: fmt.Sprintf("query %s/%s %s diverges:\n  single: %d %s\n  fleet:  %d %s",
-							q.I1, q.I2, q.Rel, rqs, rqb, fqs, fqb)})
-					continue
-				}
-				if rqs == http.StatusOK {
-					golds = append(golds, gold{path: qpath, body: qb, want: rqb})
-				}
+				capture(gold{scheme: scheme.String(), path: "/sessions/" + info.ID + "/query", body: qb, query: true},
+					lr.Loop, fmt.Sprintf("query %s/%s %s", q.I1, q.I2, q.Rel))
 			}
 		}
 	}
+	return gs
+}
 
-	// Parallel phase: the serial gold bytes must survive concurrent fire
-	// through the router, where shard fan-out, remote cache hits, and
-	// query coalescing all interleave. Coalesce markers live in the
-	// response envelope's optional fields, so a coalesced hit that changed
-	// the bytes would be caught here.
+// replayGolds sends every gold down send — serially, or concurrently with
+// at most eight in flight — and reports each response that does not
+// reproduce its gold as kind. It returns whether all of them did.
+func replayGolds(rep *Report, kind, phase string, golds []gold, concurrent bool, send doer) bool {
 	var (
 		wg  sync.WaitGroup
 		mu  sync.Mutex
+		ok  = true
 		sem = make(chan struct{}, 8)
 	)
+	check := func(g gold) {
+		s, b := send("POST", g.path, g.body)
+		if g.reproducedBy(s, b, concurrent) {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		ok = false
+		rep.violate(Violation{Kind: kind, Scheme: g.scheme,
+			Detail: fmt.Sprintf("%s answer diverges from gold:\n  gold: %s\n  got:  %d %s", phase, g.want, s, b)})
+	}
 	for _, g := range golds {
+		if !concurrent {
+			check(g)
+			continue
+		}
 		wg.Add(1)
+		sem <- struct{}{}
 		go func(g gold) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
-			s, b := fl.do("POST", g.path, g.body)
-			if s != http.StatusOK || !bytes.Equal(stripCoalesce(b), stripCoalesce(g.want)) {
-				mu.Lock()
-				rep.violate(Violation{Kind: KindDriftFleet,
-					Detail: fmt.Sprintf("parallel query diverges from serial gold:\n  serial:   %s\n  parallel: %d %s",
-						g.want, s, b)})
-				mu.Unlock()
-			}
+			check(g)
 		}(g)
 	}
 	wg.Wait()
+	return ok
 }
 
 // stripCoalesce removes the scheduling-dependent "coalesced" marker from a
@@ -171,92 +242,4 @@ func stripCoalesce(body []byte) []byte {
 		return body
 	}
 	return out
-}
-
-// oracleFleet is two peer backends behind a router, all on loopback.
-type oracleFleet struct {
-	url      string
-	client   *http.Client
-	shutdown func()
-}
-
-func (f *oracleFleet) do(method, path string, body []byte) (int, []byte) {
-	req, err := http.NewRequest(method, f.url+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := f.client.Do(req)
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	return resp.StatusCode, b
-}
-
-func bootOracleFleet() (*oracleFleet, error) {
-	const n = 2
-	listeners := make([]net.Listener, n+1)
-	for i := range listeners {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			for _, p := range listeners[:i] {
-				p.Close()
-			}
-			return nil, err
-		}
-		listeners[i] = l
-	}
-	urls := map[string]string{}
-	for i := 0; i < n; i++ {
-		urls[fmt.Sprintf("b%d", i)] = "http://" + listeners[i].Addr().String()
-	}
-
-	var backends []*server.Server
-	var httpSrvs []*http.Server
-	for i := 0; i < n; i++ {
-		id := fmt.Sprintf("b%d", i)
-		peers := map[string]string{}
-		for pid, u := range urls {
-			if pid != id {
-				peers[pid] = u
-			}
-		}
-		srv := server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{
-			Self: id, Peers: peers, Timeout: 5 * time.Second, AutoFlush: 10 * time.Millisecond,
-		}})
-		backends = append(backends, srv)
-		hs := &http.Server{Handler: srv.Handler()}
-		httpSrvs = append(httpSrvs, hs)
-		go hs.Serve(listeners[i])
-	}
-	rt := server.NewRouter(server.RouterConfig{Backends: urls, Route: "hash"})
-	rhs := &http.Server{Handler: rt.Handler()}
-	httpSrvs = append(httpSrvs, rhs)
-	go rhs.Serve(listeners[n])
-
-	fl := &oracleFleet{
-		url:    "http://" + listeners[n].Addr().String(),
-		client: &http.Client{Timeout: 30 * time.Second},
-	}
-	fl.shutdown = func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		// Client-side connection pools close first: a spare pooled
-		// connection is StateNew on its server, and Shutdown waits five
-		// seconds before reaping those.
-		fl.client.CloseIdleConnections()
-		rt.Close()
-		for _, srv := range backends {
-			srv.Shutdown(ctx)
-		}
-		for _, hs := range httpSrvs {
-			hs.Shutdown(ctx)
-		}
-	}
-	return fl, nil
 }

@@ -14,13 +14,11 @@ package oracle
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"scaf/internal/fleet"
 	"scaf/internal/recovery"
@@ -34,96 +32,21 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 		return
 	}
 	defer os.RemoveAll(dir)
-
-	shutdown := func(srv *server.Server) {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)
-	}
 	bootPersist := func() *server.Server {
 		return server.New(server.Config{Workers: 2, Fleet: &server.FleetConfig{Self: "p0", CacheDir: dir}})
 	}
 
-	refSrv := server.New(server.Config{Workers: 2})
-	refH := refSrv.Handler()
-	defer shutdown(refSrv)
-
+	ref := server.New(server.Config{Workers: 2})
+	defer shutdown(ref)
 	srv1 := bootPersist()
+	defer shutdown(srv1) // a no-op once the drain below has run
 	h1 := srv1.Handler()
 
-	createBody, _ := json.Marshal(map[string]any{
-		"name": a.name, "source": a.src, "plan": "off",
-		"hot_loops": map[string]float64{
-			"min_weight_frac": cfg.HotLoops.MinWeightFrac,
-			"min_avg_iters":   cfg.HotLoops.MinAvgIters,
-		},
-	})
-	refStatus, refBody := do(refH, "POST", "/sessions", createBody)
-	pStatus, pBody := do(h1, "POST", "/sessions", createBody)
-	if refStatus != pStatus || !bytes.Equal(refBody, pBody) {
-		shutdown(srv1)
-		rep.violate(Violation{Kind: KindDriftPersist,
-			Detail: fmt.Sprintf("session create diverges: cold %d %s, persistent %d %s",
-				refStatus, refBody, pStatus, pBody)})
+	// Cold phase: golds from the reference, while the persistent instance
+	// serves the same traffic and warms its shard with it.
+	gs := captureGolds(cfg, rep, a, KindDriftPersist, handlerDoer(ref.Handler()), handlerDoer(h1))
+	if gs == nil {
 		return
-	}
-	if refStatus != http.StatusCreated {
-		shutdown(srv1)
-		return // load failure is covered by the server pass
-	}
-	var info server.SessionInfo
-	if err := json.Unmarshal(refBody, &info); err != nil {
-		shutdown(srv1)
-		rep.violate(Violation{Kind: KindDriftPersist, Detail: fmt.Sprintf("bad session info: %v", err)})
-		return
-	}
-
-	// Cold phase: collect golds from the reference while the persistent
-	// instance warms its shard with the same traffic.
-	type gold struct {
-		scheme string
-		path   string
-		body   []byte
-		want   []byte
-	}
-	var golds []gold
-	for _, scheme := range cfg.Schemes {
-		reqBody, _ := json.Marshal(map[string]any{"scheme": scheme.String()})
-		path := "/sessions/" + info.ID + "/analyze"
-		rs, rb := do(refH, "POST", path, reqBody)
-		ps, pb := do(h1, "POST", path, reqBody)
-		if rs != ps || !bytes.Equal(rb, pb) {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("cold-phase analyze diverges:\n  cold:       %d %s\n  persistent: %d %s", rs, rb, ps, pb)})
-			continue
-		}
-		if rs != http.StatusOK {
-			continue
-		}
-		golds = append(golds, gold{scheme: scheme.String(), path: path, body: reqBody, want: rb})
-		var resp server.AnalyzeResponse
-		if err := json.Unmarshal(rb, &resp); err != nil {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: scheme.String(),
-				Detail: fmt.Sprintf("bad analyze response: %v", err)})
-			continue
-		}
-		n := 0
-		for _, lr := range resp.Results {
-			for _, q := range lr.Queries {
-				if n >= fleetQueryCap {
-					break
-				}
-				n++
-				qb, _ := json.Marshal(server.QueryRequest{
-					Scheme: scheme.String(), Loop: lr.Loop, I1: q.I1, I2: q.I2, Rel: q.Rel,
-				})
-				qpath := "/sessions/" + info.ID + "/query"
-				rqs, rqb := do(refH, "POST", qpath, qb)
-				if rqs == http.StatusOK {
-					golds = append(golds, gold{scheme: scheme.String(), path: qpath, body: qb, want: rqb})
-				}
-			}
-		}
 	}
 
 	// Straddle the restart across a quarantine: violate one supporting
@@ -138,7 +61,7 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 	if revKey != "" {
 		ob, _ := json.Marshal(server.ObserveRequest{Violations: []server.WireViolation{
 			{Assertion: revKey, Detail: "persist oracle: straddled restart"}}})
-		if st, body := do(h1, "POST", "/sessions/"+info.ID+"/observe", ob); st != http.StatusOK {
+		if st, body := do(h1, "POST", "/sessions/"+gs.id+"/observe", ob); st != http.StatusOK {
 			rep.violate(Violation{Kind: KindDriftPersist,
 				Detail: fmt.Sprintf("observe before drain failed: %d %s", st, body)})
 			revKey = ""
@@ -189,20 +112,13 @@ func checkPersist(cfg Config, rep *Report, a *analysis) {
 
 	// Warm phase: a fresh instance, a fresh session (same ID sequence),
 	// and every gold must be served byte-identically.
-	wStatus, wBody := do(h2, "POST", "/sessions", createBody)
-	if wStatus != refStatus || !bytes.Equal(wBody, refBody) {
+	wStatus, wBody := do(h2, "POST", "/sessions", gs.create)
+	if wStatus != http.StatusCreated || !bytes.Equal(wBody, gs.created) {
 		rep.violate(Violation{Kind: KindDriftPersist,
-			Detail: fmt.Sprintf("warm session create diverges: cold %d %s, warm %d %s",
-				refStatus, refBody, wStatus, wBody)})
+			Detail: fmt.Sprintf("warm session create diverges: cold %s, warm %d %s", gs.created, wStatus, wBody)})
 		return
 	}
-	for _, g := range golds {
-		ws, wb := do(h2, "POST", g.path, g.body)
-		if ws != http.StatusOK || !bytes.Equal(wb, g.want) {
-			rep.violate(Violation{Kind: KindDriftPersist, Scheme: g.scheme,
-				Detail: fmt.Sprintf("warm-restart answer diverges from cold:\n  cold: %s\n  warm: %d %s", g.want, ws, wb)})
-		}
-	}
+	replayGolds(rep, KindDriftPersist, "warm-restart", gs.golds, false, handlerDoer(h2))
 
 	// Nonvacuity: the equality must come from the snapshot, not from
 	// silent recomputation.

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -185,6 +186,37 @@ func TestStoreSaveLoadAndJournal(t *testing.T) {
 	// the two entries predicated on it must be blocked at restore.
 	if rejected != 2 || inserted != 2 {
 		t.Fatalf("journal-after-snapshot: inserted=%d rejected=%d", inserted, rejected)
+	}
+}
+
+// TestWriteAtomic pins the writer's contract: the target is replaced
+// whole, and a failed write leaves the old file and no temp file behind.
+func TestWriteAtomic(t *testing.T) {
+	dir := t.TempDir()
+	for _, data := range []string{"first", "second"} {
+		if err := WriteAtomic(dir, "f.snap", []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := os.ReadFile(filepath.Join(dir, "f.snap")); string(got) != data {
+			t.Fatalf("f.snap = %q, want %q", got, data)
+		}
+	}
+	// The rename fails onto a non-empty directory.
+	if err := os.MkdirAll(filepath.Join(dir, "busy", "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteAtomic(dir, "busy", []byte("lost")); err == nil {
+		t.Fatal("rename onto a non-empty directory succeeded")
+	}
+	if err := WriteAtomic(filepath.Join(dir, "missing"), "f.snap", []byte("lost")); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	ents, _ := os.ReadDir(dir)
+	if len(ents) != 2 {
+		t.Fatalf("dir holds %v, want only f.snap and busy", ents)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "f.snap")); string(got) != "second" {
+		t.Fatalf("f.snap = %q after failed writes", got)
 	}
 }
 

@@ -176,7 +176,7 @@ type Stats struct {
 type Store struct {
 	dir string
 
-	mu      sync.Mutex // serializes saves and journal appends
+	mu      sync.Mutex // serializes saves, journal appends and loads
 	journal *os.File
 
 	loaded, rejected, entries    atomic.Int64
@@ -201,42 +201,54 @@ func (s *Store) SnapshotPath() string { return filepath.Join(s.dir, SnapshotFile
 // JournalPath returns the revoked-set journal's path.
 func (s *Store) JournalPath() string { return filepath.Join(s.dir, JournalFile) }
 
-// Save atomically replaces the snapshot file with snap (temp file +
-// rename, so a crash mid-save leaves the previous snapshot intact).
+// Save atomically replaces the snapshot file with snap (see WriteAtomic:
+// a crash mid-save leaves the previous snapshot intact).
 func (s *Store) Save(snap Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	data := Encode(snap)
-	tmp, err := os.CreateTemp(s.dir, SnapshotFile+".tmp-")
-	if err != nil {
+	if err := WriteAtomic(s.dir, SnapshotFile, Encode(snap)); err != nil {
 		s.saveErrors.Add(1)
 		return err
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), s.SnapshotPath())
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		s.saveErrors.Add(1)
-		return werr
 	}
 	s.saves.Add(1)
 	s.entries.Store(int64(len(snap.Entries)))
 	return nil
 }
 
+// WriteAtomic replaces dir/name with data: it writes a temp file in dir,
+// fsyncs and closes it, then renames it over name. Readers and a crash at
+// any point see the old file or the complete new one, never a partial
+// write; on any failure the temp file is removed and the old file stands.
+func WriteAtomic(dir, name string, data []byte) error {
+	tmp, err := os.CreateTemp(dir, name+".tmp-")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
+}
+
 // Load reads the snapshot and merges the revoked-set journal on top.
 // Missing files are an empty (cold) state, not an error; corruption
 // anywhere degrades to the validated prefix. The returned snapshot is
-// ready for Cache.Restore — revocations first, then entries.
+// ready for Cache.Restore — revocations first, then entries. It holds
+// the store lock so it never reads a journal an append is mid-way
+// through creating (file made, header not yet written).
 func (s *Store) Load() (Snapshot, DecodeStats) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var snap Snapshot
 	var st DecodeStats
 	if data, err := os.ReadFile(s.SnapshotPath()); err == nil {

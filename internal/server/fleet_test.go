@@ -3,47 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"testing"
-	"time"
 )
-
-// newFleetPair boots two servers joined as a two-instance fleet over real
-// loopback HTTP. The listeners are bound before either server is built so
-// each Config can name the other's base URL.
-func newFleetPair(t *testing.T) (sA, sB *Server, tsA, tsB *httptest.Server) {
-	t.Helper()
-	lA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	urlA := "http://" + lA.Addr().String()
-	urlB := "http://" + lB.Addr().String()
-
-	sA = New(Config{Fleet: &FleetConfig{
-		Self: "a", Peers: map[string]string{"b": urlB}, Timeout: 5 * time.Second,
-	}})
-	sB = New(Config{Fleet: &FleetConfig{
-		Self: "b", Peers: map[string]string{"a": urlA}, Timeout: 5 * time.Second,
-	}})
-
-	start := func(l net.Listener, s *Server) *httptest.Server {
-		ts := httptest.NewUnstartedServer(s.Handler())
-		ts.Listener.Close()
-		ts.Listener = l
-		ts.Start()
-		t.Cleanup(ts.Close)
-		t.Cleanup(func() { s.fleet.Close() })
-		return ts
-	}
-	return sA, sB, start(lA, sA), start(lB, sB)
-}
 
 // TestFleetLookasideAndCodec exercises the whole fleet data plane inside
 // one instance (no peers, purely local shard): a second identical session
@@ -57,17 +19,17 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	t.Cleanup(func() { srv.fleet.Close() })
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	info1 := createSession(t, ts, req)
-	info2 := createSession(t, ts, req)
+	info1 := createSession(t, ts.URL, req)
+	info2 := createSession(t, ts.URL, req)
 
-	gold := analyzeJSON(t, ts, info1.ID)
+	gold := analyzeJSON(t, ts.URL, info1.ID)
 	if n := srv.fleetLoopHits.Load(); n != 0 {
 		t.Fatalf("cold analyze hit the lookaside %d times", n)
 	}
 
 	// Session 2 shares the program digest, so its analyze must be served
 	// whole from the tier without resolving anything.
-	got := analyzeJSON(t, ts, info2.ID)
+	got := analyzeJSON(t, ts.URL, info2.ID)
 	if !bytes.Equal(got, gold) {
 		t.Fatalf("lookaside-served analyze diverged:\ngot  %.400s\nwant %.400s", got, gold)
 	}
@@ -87,7 +49,7 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 	// Session 2's core caches are cold (its analyze never resolved), so a
 	// single /query must be served through the mod-ref codec: encode on
 	// publish by session 1, decode against session 2's module, render.
-	status, raw := do(t, ts, "POST", "/sessions/"+info2.ID+"/query", QueryRequest{
+	status, raw := do(t, ts.URL, "POST", "/sessions/"+info2.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: results[0].Loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel,
 	})
 	if status != http.StatusOK {
@@ -100,7 +62,7 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 		t.Fatalf("codec-served query diverged from its fresh twin:\ngot  %s\nwant %s", gotJSON, refJSON)
 	}
 
-	_, raw = do(t, ts, "GET", "/metrics", nil)
+	_, raw = do(t, ts.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	if m.Server.FleetLoopHits == 0 {
 		t.Fatalf("fleet_loop_hits not surfaced: %+v", m.Server)
@@ -122,18 +84,20 @@ func TestFleetLookasideAndCodec(t *testing.T) {
 // to A's fresh resolution — both the whole-loop lookaside on /analyze and
 // the mod-ref codec on /query.
 func TestFleetCrossInstanceRemoteHit(t *testing.T) {
-	sA, sB, tsA, tsB := newFleetPair(t)
+	h := startHarness(t, HarnessConfig{Members: 2})
+	bA, bB := h.Members[0], h.Members[1]
+	sA, sB := bA.Server, bB.Server
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	infoA := createSession(t, tsA, req)
-	infoB := createSession(t, tsB, req)
+	infoA := createSession(t, bA.URL, req)
+	infoB := createSession(t, bB.URL, req)
 
-	gold := analyzeJSON(t, tsA, infoA.ID)
+	gold := analyzeJSON(t, bA.URL, infoA.ID)
 	// Push A's pending publications to the entries' home nodes; keys homed
 	// on A are served to B by RPC either way.
 	sA.fleet.Flush()
 
-	got := analyzeJSON(t, tsB, infoB.ID)
+	got := analyzeJSON(t, bB.URL, infoB.ID)
 	if !bytes.Equal(got, gold) {
 		t.Fatalf("remote-served analyze diverged:\ngot  %.400s\nwant %.400s", got, gold)
 	}
@@ -149,7 +113,7 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := results[0].Queries[0]
-	status, raw := do(t, tsB, "POST", "/sessions/"+infoB.ID+"/query", QueryRequest{
+	status, raw := do(t, bB.URL, "POST", "/sessions/"+infoB.ID+"/query", QueryRequest{
 		Scheme: "scaf", Loop: results[0].Loop, I1: ref.I1, I2: ref.I2, Rel: ref.Rel,
 	})
 	if status != http.StatusOK {
@@ -163,7 +127,7 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 	}
 
 	// The tier's counters are surfaced through /metrics on both sides.
-	_, raw = do(t, tsB, "GET", "/metrics", nil)
+	_, raw = do(t, bB.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	if m.Fleet == nil {
 		t.Fatalf("fleet stats missing from B's metrics: %.300s", raw)
@@ -186,16 +150,18 @@ func TestFleetCrossInstanceRemoteHit(t *testing.T) {
 // had those assertions excluded from the start, even though B never saw a
 // local observe report.
 func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
-	sA, sB, tsA, tsB := newFleetPair(t)
+	h := startHarness(t, HarnessConfig{Members: 2})
+	bA, bB := h.Members[0], h.Members[1]
+	sA, sB := bA.Server, bB.Server
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
-	infoA := createSession(t, tsA, req)
-	infoB := createSession(t, tsB, req)
+	infoA := createSession(t, bA.URL, req)
+	infoB := createSession(t, bB.URL, req)
 
 	// Warm the fleet: A resolves, B serves A's bytes.
-	gold := analyzeJSON(t, tsA, infoA.ID)
+	gold := analyzeJSON(t, bA.URL, infoA.ID)
 	sA.fleet.Flush()
-	if got := analyzeJSON(t, tsB, infoB.ID); !bytes.Equal(got, gold) {
+	if got := analyzeJSON(t, bB.URL, infoB.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warmup: B diverged from A")
 	}
 
@@ -215,7 +181,7 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed on a"})
 	}
-	status, raw := do(t, tsA, "POST", "/sessions/"+infoA.ID+"/observe", ObserveRequest{Violations: vs})
+	status, raw := do(t, bA.URL, "POST", "/sessions/"+infoA.ID+"/observe", ObserveRequest{Violations: vs})
 	if status != http.StatusOK {
 		t.Fatalf("observe on A: status %d, body %s", status, raw)
 	}
@@ -224,19 +190,19 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	// predicated entries are guaranteed misses fleet-wide — and A's must
 	// agree with them.
 	for pass := 0; pass < 2; pass++ {
-		if got := analyzeJSON(t, tsB, infoB.ID); !bytes.Equal(got, wantJSON) {
+		if got := analyzeJSON(t, bB.URL, infoB.ID); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("pass %d: B still serves pre-violation bytes\ngot  %.400s\nwant %.400s",
 				pass, got, wantJSON)
 		}
 	}
-	if got := analyzeJSON(t, tsA, infoA.ID); !bytes.Equal(got, wantJSON) {
+	if got := analyzeJSON(t, bA.URL, infoA.ID); !bytes.Equal(got, wantJSON) {
 		t.Fatalf("A diverged from the excluded-assertion reference")
 	}
 
 	// The violated assertions were replicated into B's quarantine, and at
 	// least one predicated shard entry was physically removed somewhere in
 	// the fleet (the loop entry is indexed under every harvested key).
-	_, raw = do(t, tsB, "GET", "/metrics", nil)
+	_, raw = do(t, bB.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	sm, ok := m.Sessions[infoB.ID]
 	if !ok || sm.Quarantine == nil {
@@ -258,8 +224,8 @@ func TestFleetInvalidationGuaranteedMiss(t *testing.T) {
 	// bytes by fresh computation.
 	sA.fleet.Flush()
 	hitsBefore := sB.fleetLoopHits.Load()
-	infoB2 := createSession(t, tsB, req)
-	if got := analyzeJSON(t, tsB, infoB2.ID); !bytes.Equal(got, gold) {
+	infoB2 := createSession(t, bB.URL, req)
+	if got := analyzeJSON(t, bB.URL, infoB2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("fresh session on B did not reproduce the clean-slate analysis")
 	}
 	if n := sB.fleetLoopHits.Load(); n != hitsBefore {

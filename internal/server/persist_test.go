@@ -40,8 +40,8 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 	entriesBefore := srv1.fleet.Local().Len()
 	if entriesBefore == 0 {
 		t.Fatal("vacuous: analyze published nothing to the shard")
@@ -62,8 +62,8 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	// digest and a clean fingerprint on both sides) must be served from
 	// the snapshot: same bytes, and the loop lookaside must hit.
 	hits0 := srv2.fleetLoopHits.Load()
-	info2 := createSession(t, ts2, req)
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, req)
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warm analyze diverged from cold gold\ngot  %.300s\nwant %.300s", got, gold)
 	}
 	if srv2.fleetLoopHits.Load() == hits0 {
@@ -71,7 +71,7 @@ func TestServerWarmRestartByteIdentical(t *testing.T) {
 	}
 
 	// The counters are operator-visible.
-	_, raw := do(t, ts2, "GET", "/metrics", nil)
+	_, raw := do(t, ts2.URL, "GET", "/metrics", nil)
 	m := decode[MetricsResponse](t, raw)
 	if m.Persist == nil || m.Persist.Loaded == 0 {
 		t.Fatalf("/metrics does not surface persist counters: %.300s", raw)
@@ -88,8 +88,8 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 
 	var results []WireLoopResult
 	if err := json.Unmarshal(gold, &results); err != nil {
@@ -103,7 +103,7 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed pre-restart"})
 	}
-	if status, raw := do(t, ts1, "POST", "/sessions/"+info1.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
+	if status, raw := do(t, ts1.URL, "POST", "/sessions/"+info1.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
 	drainPersist(t, srv1, ts1)
@@ -138,8 +138,8 @@ func TestServerRestartStraddlingObserve(t *testing.T) {
 	// lookaside would serve it. It must instead recompute — same bytes,
 	// no new loop hits.
 	hits0 := srv2.fleetLoopHits.Load()
-	info2 := createSession(t, ts2, req)
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, req)
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("post-restart session did not reproduce clean-slate bytes")
 	}
 	if n := srv2.fleetLoopHits.Load(); n != hits0 {
@@ -157,8 +157,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
 	srv1, ts1 := bootPersistServer(dir)
-	info1 := createSession(t, ts1, req)
-	gold := analyzeJSON(t, ts1, info1.ID)
+	info1 := createSession(t, ts1.URL, req)
+	gold := analyzeJSON(t, ts1.URL, info1.ID)
 	var results []WireLoopResult
 	if err := json.Unmarshal(gold, &results); err != nil {
 		t.Fatal(err)
@@ -175,8 +175,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 	for _, k := range keys {
 		vs = append(vs, WireViolation{Assertion: k, Detail: "observed then crashed"})
 	}
-	info2 := createSession(t, ts2, req)
-	if status, raw := do(t, ts2, "POST", "/sessions/"+info2.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
+	info2 := createSession(t, ts2.URL, req)
+	if status, raw := do(t, ts2.URL, "POST", "/sessions/"+info2.ID+"/observe", ObserveRequest{Violations: vs}); status != http.StatusOK {
 		t.Fatalf("observe: status %d, body %s", status, raw)
 	}
 	ts2.Close() // no Shutdown: the stale snapshot stays on disk
@@ -201,8 +201,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 		t.Fatalf("expected journal-blocked entries to count as rejected: %+v", st)
 	}
 	hits0 := srv3.fleetLoopHits.Load()
-	info3 := createSession(t, ts3, req)
-	if got := analyzeJSON(t, ts3, info3.ID); !bytes.Equal(got, gold) {
+	info3 := createSession(t, ts3.URL, req)
+	if got := analyzeJSON(t, ts3.URL, info3.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("post-crash session did not reproduce clean-slate bytes")
 	}
 	if n := srv3.fleetLoopHits.Load(); n != hits0 {
@@ -216,8 +216,8 @@ func TestRevokedJournalBlocksResurrection(t *testing.T) {
 func TestServerShutdownIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	srv, ts := bootPersistServer(dir)
-	info := createSession(t, ts, CreateSessionRequest{Name: "small", Source: smallSource})
-	analyzeJSON(t, ts, info.ID)
+	info := createSession(t, ts.URL, CreateSessionRequest{Name: "small", Source: smallSource})
+	analyzeJSON(t, ts.URL, info.ID)
 	ts.Close()
 
 	var wg sync.WaitGroup
@@ -245,8 +245,8 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := New(Config{Fleet: &FleetConfig{Self: "p0", CacheDir: dir, SnapshotEvery: 5 * time.Millisecond}})
 	ts1 := httptest.NewServer(srv1.Handler())
-	info := createSession(t, ts1, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
-	gold := analyzeJSON(t, ts1, info.ID)
+	info := createSession(t, ts1.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	gold := analyzeJSON(t, ts1.URL, info.ID)
 
 	// Wait for a periodic snapshot that actually contains the published
 	// entries (an early tick can legitimately write an empty one).
@@ -264,8 +264,8 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 	if srv2.PersistStats().Loaded == 0 {
 		t.Fatal("periodic snapshot did not load on the next boot")
 	}
-	info2 := createSession(t, ts2, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
-	if got := analyzeJSON(t, ts2, info2.ID); !bytes.Equal(got, gold) {
+	info2 := createSession(t, ts2.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	if got := analyzeJSON(t, ts2.URL, info2.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("warm boot from periodic snapshot diverged")
 	}
 	// The abandoned first server still holds its goroutine; shut it down
@@ -283,29 +283,20 @@ func TestRouterPersistJournal(t *testing.T) {
 	dir := t.TempDir()
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
 
-	bsrv1, bts1 := newTestServer(t, Config{})
-	rt1 := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts1.URL}, CacheDir: dir})
-	rts1 := httptest.NewServer(rt1.Handler())
-	info := createSession(t, rts1, req)
-	gold := analyzeJSON(t, rts1, info.ID)
-	rts1.Close()
-	rt1.Close()
-	rt1.Close() // double Close: must be a no-op
-	_ = bsrv1
+	h1 := startHarness(t, HarnessConfig{Members: 1, RouterCacheDir: dir})
+	info := createSession(t, h1.URL, req)
+	gold := analyzeJSON(t, h1.URL, info.ID)
+	h1.Close()
+	h1.Router.Close() // double Close: must be a no-op
 
 	// The old backend dies with the router; the restarted router fronts a
 	// brand-new empty backend and must rebuild it from the loaded journal.
-	bts1.Close()
-	_, bts2 := newTestServer(t, Config{})
-	rt2 := NewRouter(RouterConfig{Backends: map[string]string{"b0": bts2.URL}, CacheDir: dir})
-	defer rt2.Close()
-	rts2 := httptest.NewServer(rt2.Handler())
-	defer rts2.Close()
-
+	h2 := startHarness(t, HarnessConfig{Members: 1, RouterCacheDir: dir})
+	rt2 := h2.Router
 	rt2.markDown("b0")
 	rt2.Probe() // rejoin: replays the persisted journal into the empty backend
 
-	status, raw := do(t, rts2, "GET", "/metrics", nil)
+	status, raw := do(t, h2.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
 		t.Fatalf("metrics: %d %s", status, raw)
 	}
@@ -313,7 +304,7 @@ func TestRouterPersistJournal(t *testing.T) {
 	if m.Router.Sessions != 1 || m.Router.Rejoins != 1 || len(m.Router.Down) != 0 {
 		t.Fatalf("restarted router did not rejoin from the persisted journal: %+v", m.Router)
 	}
-	if got := analyzeJSON(t, rts2, info.ID); !bytes.Equal(got, gold) {
+	if got := analyzeJSON(t, h2.URL, info.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("replayed backend serves different bytes than the original fleet")
 	}
 }
@@ -331,7 +322,7 @@ func TestRouterCloseConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			do(t, rts, "GET", "/healthz", nil)
+			do(t, rts.URL, "GET", "/healthz", nil)
 		}()
 	}
 	for i := 0; i < 8; i++ {

@@ -25,7 +25,7 @@ import (
 // (create, delete) broadcast to every backend in one serialized order, so
 // the backends' session registries — and their sequential session IDs —
 // stay identical; read traffic (analyze, query) shards across backends by
-// consistent hash (or round-robin), which is sound because every answer
+// consistent hash, which is sound because every answer
 // is a pure function of (session state, proposition): any backend serves
 // the same bytes, the fleet cache tier only changes who computes them.
 //
@@ -41,8 +41,8 @@ type RouterConfig struct {
 	// Backends maps backend IDs to base URLs (e.g. "b0" ->
 	// "http://127.0.0.1:8347"). IDs are the shard names.
 	Backends map[string]string
-	// Route picks the read-routing policy: "hash" (default; consistent
-	// hash, deterministic placement) or "rr" (round-robin, best spread).
+	// Deprecated: Route is ignored. Reads always shard by consistent
+	// hash; the round-robin policy was removed.
 	Route string
 	// Timeout bounds each proxied backend request (0: unbounded — analyze
 	// batches can legitimately run long).
@@ -100,7 +100,6 @@ type RouterCounters struct {
 	Rollbacks    int64                `json:"rollbacks"`
 	Moved503     int64                `json:"moved_503"`
 	Sessions     int                  `json:"sessions"`
-	Route        string               `json:"route"`
 	Members      []string             `json:"members"`
 	Pending      string               `json:"pending,omitempty"`
 	Down         []string             `json:"down,omitempty"`
@@ -179,9 +178,6 @@ type Router struct {
 
 // NewRouter builds a front tier over cfg.Backends.
 func NewRouter(cfg RouterConfig) *Router {
-	if cfg.Route == "" {
-		cfg.Route = "hash"
-	}
 	rt := &Router{
 		cfg:      cfg,
 		base:     map[string]string{},
@@ -245,12 +241,15 @@ type routerMemberRecord struct {
 	URL string `json:"url"`
 }
 
+// routerSnapFile is the router's snapshot file inside CacheDir.
+const routerSnapFile = "router.snap"
+
 func (rt *Router) persistPath() string {
-	return filepath.Join(rt.cfg.CacheDir, "router.snap")
+	return filepath.Join(rt.cfg.CacheDir, routerSnapFile)
 }
 
 // savePersist writes the journal and session map with the persist
-// framing (atomic temp+rename via a full re-encode — the journal is
+// framing (persist.WriteAtomic of a full re-encode — the journal is
 // small relative to cache shards, and a single atomic file keeps the
 // two structures consistent with each other).
 func (rt *Router) savePersist() {
@@ -278,28 +277,8 @@ func (rt *Router) savePersist() {
 		records = append(records, persist.Record{Kind: persist.KindSessions, Payload: p})
 	}
 	rt.mu.Unlock()
-	data := persist.EncodeFile(records)
-	// Mirror Store.Save: write + fsync the temp file before the rename,
-	// so the renamed router.snap is never empty or partial on power
-	// loss; the old snapshot survives any failure before the rename.
-	tmp, err := os.CreateTemp(rt.cfg.CacheDir, "router.snap.tmp-")
-	if err != nil {
+	if err := persist.WriteAtomic(rt.cfg.CacheDir, routerSnapFile, persist.EncodeFile(records)); err != nil {
 		log.Printf("router: persist save: %v", err)
-		return
-	}
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), rt.persistPath())
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		log.Printf("router: persist save: %v", werr)
 	}
 }
 
@@ -486,28 +465,16 @@ func (rt *Router) upIDs() []string {
 	return up
 }
 
-// pick chooses the backend for a read keyed by key. In rr mode down
-// backends are skipped (round-robin has no placement to preserve); in
-// hash mode the shard owner is returned even when down — the caller
-// refuses the request rather than re-homing it.
-func (rt *Router) pick(key string) (string, *httpError) {
-	if rt.cfg.Route == "rr" {
-		up := rt.upIDs()
-		if len(up) == 0 {
-			return "", rt.errNoBackends()
-		}
-		return up[rt.rrNext.Add(1)%uint64(len(up))], nil
-	}
-	return rt.pickHash(key)
-}
-
 // owner returns the session's home backend (mutations always go there,
-// in both routing modes, so re-resolution work lands deterministically).
+// so re-resolution work lands deterministically).
 func (rt *Router) owner(sid string) (string, *httpError) {
-	return rt.pickHash("s|" + sid)
+	return rt.pick("s|" + sid)
 }
 
-func (rt *Router) pickHash(key string) (string, *httpError) {
+// pick returns the consistent-hash owner of a read keyed by key. A down
+// owner, or one whose segment is mid-move, is refused with a retryable
+// 503 rather than re-homed.
+func (rt *Router) pick(key string) (string, *httpError) {
 	rt.mu.Lock()
 	id := rt.ring.Owner(key)
 	moving := rt.nextRing != nil && rt.nextRing.Owner(key) != id
@@ -809,7 +776,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		// Forward undecodable bodies to one backend for its strict,
 		// deterministic 400.
-		id, he := rt.pickHash("s|" + sid)
+		id, he := rt.owner(sid)
 		if he != nil {
 			writeError(w, he)
 			return
@@ -828,7 +795,7 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if len(loops) == 0 {
 		// Unknown session or a session with no hot loops: one backend
 		// produces the deterministic answer (404, or an empty batch).
-		id, he := rt.pickHash("s|" + sid)
+		id, he := rt.owner(sid)
 		if he != nil {
 			writeError(w, he)
 			return
@@ -975,7 +942,6 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Rollbacks:    rt.rollbacks.Load(),
 		Moved503:     rt.moved503.Load(),
 		Sessions:     sessions,
-		Route:        rt.cfg.Route,
 		Members:      members,
 		Pending:      pending,
 		Down:         downIDs,
