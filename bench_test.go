@@ -163,8 +163,10 @@ func BenchmarkAblationRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkProfiling measures the full train-input profiling run of one
-// benchmark (interpreter + all six profilers).
+// BenchmarkProfiling measures one session create's compile and train-
+// input profiling run of one benchmark: the interpreter under the loop
+// tracker and the five profilers Collect runs (the memory-dependence
+// profiler runs only on demand). make bench-mem pins its allocs/op.
 func BenchmarkProfiling(b *testing.B) {
 	src := bench.Sources["129.compress"]
 	for i := 0; i < b.N; i++ {

@@ -1,17 +1,33 @@
 package bench
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"scaf"
 	"scaf/internal/core"
 	"scaf/internal/pdg"
+	"scaf/internal/profile"
 	"scaf/internal/spec"
 )
 
+var updateDigests = flag.Bool("update-digests", false, "rewrite testdata/profile.digests from the current profilers")
+
+const profileDigests = "testdata/profile.digests"
+
 // TestAllBenchmarksLoadAndHaveHotLoops compiles, profiles, and validates
-// every benchmark program.
+// every benchmark program, and pins the digest of each one's profiles
+// (MemDep included) to goldens captured before the profilers moved to
+// dense state.
 func TestAllBenchmarksLoadAndHaveHotLoops(t *testing.T) {
+	golden := map[string]string{}
+	if !*updateDigests {
+		golden = readDigests(t, profileDigests)
+	}
+	digests := map[string]string{}
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
@@ -32,8 +48,36 @@ func TestAllBenchmarksLoadAndHaveHotLoops(t *testing.T) {
 				t.Error("benchmark produced no output")
 			}
 			t.Logf("steps=%d hot=%d output=%v", b.Sys.Profiles.Steps, len(b.Hot), b.Sys.Profiles.Output)
+			digests[name] = profile.Digest(b.Sys.Profiles)
+			if !*updateDigests && digests[name] != golden[name] {
+				t.Errorf("profile digest %s, golden %s", digests[name], golden[name])
+			}
 		})
 	}
+	if *updateDigests {
+		var out strings.Builder
+		for _, name := range Names() {
+			fmt.Fprintf(&out, "%s %s\n", name, digests[name])
+		}
+		if err := os.WriteFile(profileDigests, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readDigests parses a "<name> <digest>" golden file.
+func readDigests(t *testing.T, path string) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read goldens: %v", err)
+	}
+	out := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		name, dig, _ := strings.Cut(line, " ")
+		out[name] = dig
+	}
+	return out
 }
 
 func itoa(n int) string {

@@ -24,9 +24,11 @@ type Object struct {
 	Site  *ir.Instr  // allocation site; nil for globals
 	G     *ir.Global // non-nil for globals
 	Freed bool
-	// Ctx is a small hash of the call-site stack at allocation time, used
-	// by the points-to profiler to separate dynamic instances created by
-	// the same static site in different calling contexts.
+	// Ctx is a hash of the call-site stack at allocation time, which
+	// separates dynamic instances created by the same static site in
+	// different calling contexts. The profilers do not read it: the
+	// points-to profiler takes its calling contexts from the loop
+	// tracker's call sites at each access.
 	Ctx uint64
 }
 

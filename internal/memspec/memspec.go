@@ -33,7 +33,7 @@ func (m *MemSpec) Kind() core.ModuleKind { return core.Speculation }
 // NoDep reports whether no dependence i1→i2 with the given temporal
 // relation manifested during profiling within loop l.
 func (m *MemSpec) NoDep(l *cfg.Loop, i1, i2 *ir.Instr, rel core.TemporalRelation) bool {
-	return !m.data.MemDep.Observed(l, i1, i2, rel == core.Before)
+	return !m.data.MemDep().Observed(l, i1, i2, rel == core.Before)
 }
 
 // execCount estimates how often instruction in accessed memory.

@@ -1,6 +1,8 @@
 package memspec
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"scaf/internal/cfg"
@@ -124,4 +126,58 @@ func TestMemSpecCostDominatesCheapChecks(t *testing.T) {
 	if len(a.Points) != 2 {
 		t.Errorf("assertion points = %d", len(a.Points))
 	}
+}
+
+// TestMemDepFirstUseConcurrent: the memory-dependence profile runs on
+// first use; eight goroutines racing to that first use on a fresh profile
+// must all see the answers a serial caller sees.
+func TestMemDepFirstUseConcurrent(t *testing.T) {
+	serialData, prog := load(t, src)
+	loop := prog.Forests[prog.Mod.FuncNamed("main")].All[0]
+	ops := loop.MemOps()
+	answers := func(ms *MemSpec) []bool {
+		var out []bool
+		for _, i1 := range ops {
+			for _, i2 := range ops {
+				for _, rel := range []core.TemporalRelation{core.Before, core.Same} {
+					out = append(out, ms.NoDep(loop, i1, i2, rel))
+				}
+			}
+		}
+		return out
+	}
+	want := answers(New(serialData))
+	if !reflect.DeepEqual(want, answers(New(serialData))) || !contains(want, true) || !contains(want, false) {
+		t.Fatalf("serial answers are unstable or one-sided: %v", want)
+	}
+
+	fresh, err := profile.Collect(prog, interp.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms := New(fresh)
+	got := make([][]bool, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = answers(ms)
+		}(g)
+	}
+	wg.Wait()
+	for g, ans := range got {
+		if !reflect.DeepEqual(ans, want) {
+			t.Errorf("goroutine %d answers differ from the serial ones", g)
+		}
+	}
+}
+
+func contains(bs []bool, b bool) bool {
+	for _, x := range bs {
+		if x == b {
+			return true
+		}
+	}
+	return false
 }

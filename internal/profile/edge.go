@@ -12,11 +12,20 @@ type EdgeKey struct{ From, To *ir.Block }
 // EdgeProfile counts block executions and edge traversals — the profile
 // control speculation consumes (paper: never-executed blocks are the
 // speculatively dead ones).
+//
+// While the program runs it counts into per-block slices; Finish
+// materializes the BlockCount and EdgeCount maps the queries read.
 type EdgeProfile struct {
 	interp.BaseObserver
 	BlockCount map[*ir.Block]int64
 	EdgeCount  map[EdgeKey]int64
 	mod        *ir.Module
+
+	ix     *denseIndex
+	blocks []int64 // block slot → executions
+	// succs counts, per block slot, the traversals of the edges to its
+	// first and second successor — the only two a Br or CondBr takes.
+	succs [][2]int64
 }
 
 // NewEdgeProfile creates an empty edge profiler for module m.
@@ -28,17 +37,52 @@ func NewEdgeProfile(m *ir.Module) *EdgeProfile {
 	}
 }
 
+func (p *EdgeProfile) use(ix *denseIndex) {
+	p.ix = ix
+	p.blocks = make([]int64, ix.nBlocks)
+	p.succs = make([][2]int64, ix.nBlocks)
+}
+
+func (p *EdgeProfile) index() *denseIndex {
+	if p.ix == nil {
+		p.use(newDenseIndex(p.mod, nil))
+	}
+	return p.ix
+}
+
 func (p *EdgeProfile) Edge(fn *ir.Func, from, to *ir.Block) {
-	p.BlockCount[to]++
-	p.EdgeCount[EdgeKey{from, to}]++
+	fi := p.index().fn(fn)
+	p.blocks[fi.blockBase+to.Index]++
+	succ := 0
+	if from.Succs[0] != to {
+		succ = 1
+	}
+	p.succs[fi.blockBase+from.Index][succ]++
 }
 
 func (p *EdgeProfile) Call(site *ir.Instr, callee *ir.Func) {
-	p.BlockCount[callee.Entry()]++
+	p.blocks[p.index().block(callee.Entry())]++
 }
 
-// Finish accounts for main's entry block, which no edge or call reaches.
+// Finish materializes the count maps, accounting for main's entry block,
+// which no edge or call reaches. Collect calls it once the run ends.
 func (p *EdgeProfile) Finish() {
+	ix := p.index()
+	p.BlockCount = map[*ir.Block]int64{}
+	p.EdgeCount = map[EdgeKey]int64{}
+	for _, f := range p.mod.Funcs {
+		base := ix.fns[f].blockBase
+		for _, b := range f.Blocks {
+			if n := p.blocks[base+b.Index]; n > 0 {
+				p.BlockCount[b] = n
+			}
+			for i, n := range p.succs[base+b.Index] {
+				if n > 0 {
+					p.EdgeCount[EdgeKey{b, b.Succs[i]}] += n
+				}
+			}
+		}
+	}
 	if main := p.mod.FuncNamed("main"); main != nil {
 		p.BlockCount[main.Entry()]++
 	}

@@ -36,6 +36,10 @@ type DepKey struct {
 	Cross bool // cross-iteration (Src in a strictly earlier iteration)
 }
 
+// loopTag is one active loop entry as an access sees it: rep is the
+// instruction representing the access at that loop's level — the call
+// site through which control left the entry's frame, or nil for the
+// entries of the accessing frame itself, which the access represents.
 type loopTag struct {
 	act  uint64
 	iter int64
@@ -43,8 +47,23 @@ type loopTag struct {
 	rep  *ir.Instr
 }
 
+// snapshot is the interned loop state of one iteration: every access in
+// the same iteration of the same activations shares one.
+type snapshot struct{ tags []loopTag }
+
+// accessRec is one recorded access: its snapshot, plus the accessing
+// instruction when the accessing frame has loops of its own (nil
+// otherwise, as no tag then refers to it). Two records are equal exactly
+// when their loop tags are, so comparing records compares tags.
 type accessRec struct {
-	tags []loopTag
+	s   *snapshot
+	cur *ir.Instr
+}
+
+// word is the shadow state of one memory word.
+type word struct {
+	write accessRec // last write inside a loop; s == nil when none
+	reads []accessRec
 }
 
 // maxReadRecs bounds the per-word reader list; anti dependences beyond the
@@ -55,103 +74,171 @@ const maxReadRecs = 16
 // §4.2.2, after Chen et al.): it records which loop-relative dependences
 // actually manifest, at 8-byte word granularity. It powers the
 // memory-speculation baseline and the "observed deps" series of Fig. 8.
+//
+// The shadow state is dense per object: word i of object o lives at
+// shadow[o.ID][i], and accesses off the 8-byte grid fall back to a map.
 type MemDepProfile struct {
 	interp.BaseObserver
-	tracker   *Tracker
-	lastWrite map[uint64]*accessRec
-	reads     map[uint64][]*accessRec
-	deps      map[DepKey]int64
+	tracker *Tracker
+	shadow  [][]word
+	odd     map[uint64]*word
+	deps    map[DepKey]int64
+	// conservative marks a profile whose run failed: every dependence
+	// counts as observed.
+	conservative bool
 }
+
+// emptySnap is the snapshot of an access outside every loop.
+var emptySnap = &snapshot{}
 
 // NewMemDepProfile creates a memory-dependence profiler reading loop state
 // from tracker.
 func NewMemDepProfile(tracker *Tracker) *MemDepProfile {
 	return &MemDepProfile{
-		tracker:   tracker,
-		lastWrite: map[uint64]*accessRec{},
-		reads:     map[uint64][]*accessRec{},
-		deps:      map[DepKey]int64{},
+		tracker: tracker,
+		odd:     map[uint64]*word{},
+		deps:    map[DepKey]int64{},
 	}
 }
 
-func (p *MemDepProfile) snap(cur *ir.Instr) *accessRec {
-	rec := &accessRec{}
-	p.tracker.ActiveLoops(cur, func(e *LoopEntry, rep *ir.Instr) {
-		if rep == nil {
-			return
-		}
-		rec.tags = append(rec.tags, loopTag{act: e.Act, iter: e.Iter, loop: e.Loop, rep: rep})
-	})
-	return rec
+// base returns the snapshot of the loops of every frame below frame i,
+// each represented by its frame's call site. A frame whose caller has no
+// loops of its own shares the caller's snapshot, so equal tags always mean
+// the same snapshot.
+func (p *MemDepProfile) base(i int) *snapshot {
+	t := p.tracker
+	f := &t.frames[i]
+	if f.base != nil {
+		return f.base
+	}
+	if i == 0 {
+		f.base = emptySnap
+		return f.base
+	}
+	c := &t.frames[i-1]
+	cb := p.base(i - 1)
+	own := t.loops[c.loopBase:f.loopBase]
+	if len(own) == 0 {
+		f.base = cb
+		return f.base
+	}
+	tags := make([]loopTag, len(cb.tags), len(cb.tags)+len(own))
+	copy(tags, cb.tags)
+	for _, e := range own {
+		tags = append(tags, loopTag{act: e.Act, iter: e.Iter, loop: e.Loop, rep: c.site})
+	}
+	f.base = &snapshot{tags}
+	return f.base
 }
 
-func (p *MemDepProfile) emit(from, to *accessRec, kind DepKind) {
-	for _, tf := range from.tags {
-		for _, tt := range to.tags {
+// snap returns the record of an access by cur in the current loop state.
+func (p *MemDepProfile) snap(cur *ir.Instr) accessRec {
+	t := p.tracker
+	top := len(t.frames) - 1
+	if top < 0 {
+		return accessRec{s: emptySnap}
+	}
+	lb := t.frames[top].loopBase
+	if len(t.loops) == lb {
+		return accessRec{s: p.base(top)}
+	}
+	// The innermost entry's iteration fixes every entry of this frame.
+	e := t.loops[len(t.loops)-1]
+	if e.snap == nil || e.snapIter != e.Iter {
+		b := p.base(top)
+		own := t.loops[lb:]
+		tags := make([]loopTag, len(b.tags), len(b.tags)+len(own))
+		copy(tags, b.tags)
+		for _, o := range own {
+			tags = append(tags, loopTag{act: o.Act, iter: o.Iter, loop: o.Loop})
+		}
+		e.snap, e.snapIter = &snapshot{tags}, e.Iter
+	}
+	return accessRec{s: e.snap, cur: cur}
+}
+
+func (p *MemDepProfile) emit(from, to accessRec, kind DepKind) {
+	for _, tf := range from.s.tags {
+		for _, tt := range to.s.tags {
 			if tt.act != tf.act {
 				continue
 			}
-			p.deps[DepKey{
-				Loop:  tf.loop,
-				Src:   tf.rep,
-				Dst:   tt.rep,
-				Kind:  kind,
-				Cross: tt.iter > tf.iter,
-			}]++
+			src, dst := tf.rep, tt.rep
+			if src == nil {
+				src = from.cur
+			}
+			if dst == nil {
+				dst = to.cur
+			}
+			p.deps[DepKey{Loop: tf.loop, Src: src, Dst: dst, Kind: kind, Cross: tt.iter > tf.iter}]++
 		}
 	}
 }
 
-func sameRec(a, b *accessRec) bool {
-	if len(a.tags) != len(b.tags) {
-		return false
-	}
-	for i := range a.tags {
-		if a.tags[i] != b.tags[i] {
-			return false
+// word returns the shadow of the word at addr in object o.
+func (p *MemDepProfile) word(o *interp.Object, addr uint64) *word {
+	off := addr - o.Base
+	if off&7 != 0 {
+		w := p.odd[addr]
+		if w == nil {
+			w = &word{}
+			p.odd[addr] = w
 		}
+		return w
 	}
-	return true
+	if o.ID >= len(p.shadow) {
+		p.shadow = append(p.shadow, make([][]word, o.ID+1-len(p.shadow))...)
+	}
+	ws := p.shadow[o.ID]
+	if ws == nil {
+		ws = make([]word, (o.Size+7)/8)
+		p.shadow[o.ID] = ws
+	}
+	return &ws[off>>3]
 }
 
 func (p *MemDepProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	rec := p.snap(in)
-	if len(rec.tags) == 0 {
+	if len(rec.s.tags) == 0 {
 		return // outside any loop: no loop-relative dependence to record
 	}
-	if w := p.lastWrite[addr]; w != nil {
-		p.emit(w, rec, Flow)
+	w := p.word(o, addr)
+	if w.write.s != nil {
+		p.emit(w.write, rec, Flow)
 	}
-	rs := p.reads[addr]
-	if n := len(rs); n > 0 && sameRec(rs[n-1], rec) {
+	if n := len(w.reads); n > 0 && w.reads[n-1] == rec {
 		return
 	}
-	if len(rs) < maxReadRecs {
-		p.reads[addr] = append(rs, rec)
+	if len(w.reads) < maxReadRecs {
+		w.reads = append(w.reads, rec)
 	}
 }
 
 func (p *MemDepProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	rec := p.snap(in)
-	for _, r := range p.reads[addr] {
-		p.emit(r, rec, Anti)
-	}
-	if w := p.lastWrite[addr]; w != nil {
-		p.emit(w, rec, Output)
-	}
-	if len(rec.tags) == 0 {
+	w := p.word(o, addr)
+	if len(rec.s.tags) == 0 {
 		// A write outside all loops still kills earlier records.
-		delete(p.lastWrite, addr)
-		delete(p.reads, addr)
+		*w = word{}
 		return
 	}
-	p.lastWrite[addr] = rec
-	delete(p.reads, addr)
+	for _, r := range w.reads {
+		p.emit(r, rec, Anti)
+	}
+	if w.write.s != nil {
+		p.emit(w.write, rec, Output)
+	}
+	w.write = rec
+	w.reads = w.reads[:0]
 }
 
 // Observed reports whether any dependence src→dst (of any kind) with the
-// given iteration relation manifested within loop during profiling.
+// given iteration relation manifested within loop during profiling. A
+// profile whose run failed observed everything.
 func (p *MemDepProfile) Observed(loop *cfg.Loop, src, dst *ir.Instr, cross bool) bool {
+	if p.conservative {
+		return true
+	}
 	for _, k := range []DepKind{Flow, Anti, Output} {
 		if p.deps[DepKey{loop, src, dst, k, cross}] > 0 {
 			return true

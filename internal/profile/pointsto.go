@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"hash/fnv"
 
 	"scaf/internal/interp"
 	"scaf/internal/ir"
@@ -13,19 +12,25 @@ import (
 // contexts (paper §3.2.2's calling-context parameter).
 const maxCtxSuffix = 3
 
-// CtxSuffixHash hashes a call-site chain suffix (innermost last).
+// CtxSuffixHash hashes a call-site chain suffix (innermost last): FNV-64a
+// over each site's ID (8 bytes, little-endian) followed by its function's
+// name.
 func CtxSuffixHash(sites []*ir.Instr) uint64 {
-	h := fnv.New64a()
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
 	for _, s := range sites {
-		var buf [8]byte
 		id := uint64(s.ID)
 		for i := 0; i < 8; i++ {
-			buf[i] = byte(id >> (8 * uint(i)))
+			h ^= (id >> (8 * uint(i))) & 0xff
+			h *= prime
 		}
-		h.Write(buf[:])
-		h.Write([]byte(s.Blk.Fn.Name))
+		name := s.Blk.Fn.Name
+		for i := 0; i < len(name); i++ {
+			h ^= uint64(name[i])
+			h *= prime
+		}
 	}
-	return h.Sum64()
+	return h
 }
 
 // Site identifies an allocation site: a Malloc/Alloca instruction or a
@@ -75,15 +80,36 @@ func (s Site) Size() int64 {
 // PointsToProfile maps pointer SSA values to the allocation sites of the
 // objects they were observed addressing (paper §4.2.2, the pointer-to-
 // object profiler of speculative separation).
+//
+// While the program runs it keeps one dense record per accessing
+// instruction; Finish merges the records of instructions that share a
+// pointer operand into the per-value sets the queries read.
 type PointsToProfile struct {
 	interp.BaseObserver
+	ix  *denseIndex
+	acc []ptAccess
+	// ctxAcc refines acc per interned call-site context; tracker supplies
+	// the context.
+	ctxAcc  map[ptCtxKey][]int32
+	tracker *Tracker
+
 	sets   map[ir.Value]map[Site]bool
 	counts map[ir.Value]int64
-	// ctxSets refines sets per call-site-chain suffix, enabling the
-	// calling-context query parameter; tracker supplies the chain.
+	// ctxSets refines sets per call-site-chain suffix hash, enabling the
+	// calling-context query parameter.
 	ctxSets map[ctxKey]map[Site]bool
-	tracker *Tracker
 }
+
+// ptAccess is what one accessing instruction observed.
+type ptAccess struct {
+	count int64
+	sites []int32 // distinct site numbers
+	// last and lastCtx/lastCtxSite (site numbers + 1) short-cut the
+	// common case of repeating the previous access's site and context.
+	last, lastCtx, lastCtxSite int32
+}
+
+type ptCtxKey struct{ slot, ctx int32 }
 
 type ctxKey struct {
 	v   ir.Value
@@ -93,37 +119,85 @@ type ctxKey struct {
 // NewPointsToProfile creates an empty points-to profiler. A nil tracker
 // disables context sensitivity.
 func NewPointsToProfile(tracker *Tracker) *PointsToProfile {
-	return &PointsToProfile{
-		sets:    map[ir.Value]map[Site]bool{},
-		counts:  map[ir.Value]int64{},
-		ctxSets: map[ctxKey]map[Site]bool{},
-		tracker: tracker,
+	p := &PointsToProfile{tracker: tracker, ctxAcc: map[ptCtxKey][]int32{}}
+	if tracker != nil {
+		p.use(tracker.ix)
 	}
+	return p
+}
+
+func (p *PointsToProfile) use(ix *denseIndex) {
+	p.ix = ix
+	p.acc = make([]ptAccess, len(ix.instrs))
+}
+
+func addSite(set []int32, s int32) []int32 {
+	for _, x := range set {
+		if x == s {
+			return set
+		}
+	}
+	return append(set, s)
 }
 
 func (p *PointsToProfile) record(in *ir.Instr, o *interp.Object) {
-	ptr, _, ok := in.PointerOperand()
-	if !ok {
+	if p.ix == nil {
+		p.use(newDenseIndex(in.Blk.Fn.Mod, nil))
+	}
+	slot := p.ix.instr(in)
+	site := p.ix.site(o)
+	a := &p.acc[slot]
+	a.count++
+	if a.last != site+1 {
+		a.last = site + 1
+		a.sites = addSite(a.sites, site)
+	}
+	if p.tracker == nil {
 		return
 	}
-	site := SiteOf(o)
-	set := p.sets[ptr]
-	if set == nil {
-		set = map[Site]bool{}
-		p.sets[ptr] = set
+	if ctx := p.tracker.ctx(); ctx != 0 && (a.lastCtx != ctx || a.lastCtxSite != site+1) {
+		a.lastCtx, a.lastCtxSite = ctx, site+1
+		k := ptCtxKey{slot: int32(slot), ctx: ctx}
+		p.ctxAcc[k] = addSite(p.ctxAcc[k], site)
 	}
-	set[site] = true
-	p.counts[ptr]++
-	if p.tracker != nil {
-		chain := p.tracker.CallChain()
-		for k := 1; k <= maxCtxSuffix && k <= len(chain); k++ {
-			key := ctxKey{v: ptr, ctx: CtxSuffixHash(chain[len(chain)-k:])}
-			cs := p.ctxSets[key]
-			if cs == nil {
-				cs = map[Site]bool{}
-				p.ctxSets[key] = cs
+}
+
+// Finish merges the per-instruction records into the per-value sets the
+// queries read. Collect calls it once the run ends.
+func (p *PointsToProfile) Finish() {
+	p.sets = map[ir.Value]map[Site]bool{}
+	p.counts = map[ir.Value]int64{}
+	p.ctxSets = map[ctxKey]map[Site]bool{}
+	into := func(set map[Site]bool, sites []int32) {
+		for _, s := range sites {
+			set[p.ix.sites[s]] = true
+		}
+	}
+	for slot := range p.acc {
+		a := &p.acc[slot]
+		if a.count == 0 {
+			continue
+		}
+		ptr, _, _ := p.ix.instrs[slot].PointerOperand()
+		set := p.sets[ptr]
+		if set == nil {
+			set = map[Site]bool{}
+			p.sets[ptr] = set
+		}
+		into(set, a.sites)
+		p.counts[ptr] += a.count
+	}
+	for k, sites := range p.ctxAcc {
+		ptr, _, _ := p.ix.instrs[k.slot].PointerOperand()
+		c := &p.tracker.ctxs[k.ctx]
+		for i := 0; i < c.n; i++ {
+			key := ctxKey{v: ptr, ctx: c.hash[i]}
+			set := p.ctxSets[key]
+			if set == nil {
+				set = map[Site]bool{}
+				p.ctxSets[key] = set
 			}
-			cs[site] = true
+			into(set, sites)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"sort"
+	"sync"
 
 	"scaf/internal/cfg"
 	"scaf/internal/interp"
@@ -16,35 +17,45 @@ type Data struct {
 	PointsTo  *PointsToProfile
 	Residue   *ResidueProfile
 	Lifetime  *LifetimeProfile
-	MemDep    *MemDepProfile
 	Steps     int64
 	Output    []string
 	LoopStats map[*cfg.Loop]*LoopStat
+
+	// runOpts are the step and depth budgets of the training run, which
+	// the on-demand memory-dependence run repeats.
+	runOpts    interp.Options
+	memdepOnce sync.Once
+	memdep     *MemDepProfile
 }
 
-// Collect runs the program once under all profilers ("the train input
-// run") and returns the gathered profiles.
+// Collect runs the program once under the loop tracker and the edge,
+// value, points-to, residue and lifetime profilers ("the train input
+// run") and returns the gathered profiles. The memory-dependence profile,
+// which only the memory-speculation baseline reads, is not collected
+// here: MemDep runs it on first use.
 func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 	tracker := NewTracker(prog)
 	d := &Data{
-		Prog:  prog,
-		Edge:  NewEdgeProfile(prog.Mod),
-		Value: NewValueProfile(),
-
-		Residue: NewResidueProfile(),
+		Prog:     prog,
+		Edge:     NewEdgeProfile(prog.Mod),
+		Value:    NewValueProfile(),
+		PointsTo: NewPointsToProfile(tracker),
+		Residue:  NewResidueProfile(),
+		Lifetime: NewLifetimeProfile(tracker),
+		runOpts:  interp.Options{MaxSteps: opts.MaxSteps, MaxDepth: opts.MaxDepth},
 	}
-	d.PointsTo = NewPointsToProfile(tracker)
-	d.Lifetime = NewLifetimeProfile(tracker)
-	d.MemDep = NewMemDepProfile(tracker)
+	// One numbering serves every profiler of the run.
+	d.Edge.use(tracker.ix)
+	d.Value.use(tracker.ix)
+	d.Residue.use(tracker.ix)
 
-	main := prog.Mod.FuncNamed("main")
-	if main != nil {
+	if main := prog.Mod.FuncNamed("main"); main != nil {
 		tracker.Begin(main)
 	}
 	// The tracker MUST observe first so loop state is current when the
 	// loop-sensitive profilers see the same event.
 	opts.Observers = append([]interp.Observer{
-		tracker, d.Edge, d.Value, d.PointsTo, d.Residue, d.Lifetime, d.MemDep,
+		tracker, d.Edge, d.Value, d.PointsTo, d.Residue, d.Lifetime,
 	}, opts.Observers...)
 
 	res, err := interp.Run(prog.Mod, opts)
@@ -52,10 +63,36 @@ func Collect(prog *cfg.Program, opts interp.Options) (*Data, error) {
 		return nil, err
 	}
 	d.Edge.Finish()
+	d.PointsTo.Finish()
+	d.Residue.Finish()
 	d.Steps = res.Steps
 	d.Output = res.Output
 	d.LoopStats = d.Edge.LoopStats(prog)
 	return d, nil
+}
+
+// MemDep returns the loop-aware memory-dependence profile, running the
+// program once more under the loop tracker and that profiler alone on
+// first use, with the training run's step and depth budgets. Concurrent
+// first calls share the one run. Should that run fail, the profile is
+// conservative: every dependence counts as observed, so the memory-
+// speculation baseline disproves nothing.
+func (d *Data) MemDep() *MemDepProfile {
+	d.memdepOnce.Do(func() {
+		tracker := NewTracker(d.Prog)
+		p := NewMemDepProfile(tracker)
+		tracker.Begin(d.Prog.Mod.FuncNamed("main"))
+		opts := d.runOpts
+		opts.Observers = []interp.Observer{tracker, p}
+		if _, err := interp.Run(d.Prog.Mod, opts); err != nil {
+			d.memdep = &MemDepProfile{conservative: true}
+			return
+		}
+		// Queries read only the dependence table.
+		p.tracker, p.shadow, p.odd = nil, nil, nil
+		d.memdep = p
+	})
+	return d.memdep
 }
 
 // HotLoopParams mirrors the paper's hot-loop selection (§5): loops that

@@ -1,6 +1,9 @@
 package profile
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"strings"
 	"testing"
 
 	"scaf/internal/cfg"
@@ -275,22 +278,22 @@ func TestMemDepProfile(t *testing.T) {
 		t.Fatalf("buf accesses not found:\n%s", ir.FormatFunc(main))
 	}
 	// Intra-iteration flow dep store->load must be observed.
-	if !d.MemDep.Observed(l, bufStore, bufLoad, false) {
+	if !d.MemDep().Observed(l, bufStore, bufLoad, false) {
 		t.Error("intra-iteration flow dep not observed")
 	}
 	// Cross-iteration output dep store->store (same slot 128 iterations
 	// later) must be observed.
-	if !d.MemDep.Observed(l, bufStore, bufStore, true) {
+	if !d.MemDep().Observed(l, bufStore, bufStore, true) {
 		t.Error("cross-iteration output dep not observed")
 	}
 	// Cross-iteration anti dep load->store.
-	if !d.MemDep.Observed(l, bufLoad, bufStore, true) {
+	if !d.MemDep().Observed(l, bufLoad, bufStore, true) {
 		t.Error("cross-iteration anti dep not observed")
 	}
 	// No intra-iteration dep load->store on the same slot (load happens
 	// after the store within an iteration... anti load->store intra would
 	// require a second store after the load).
-	if d.MemDep.Observed(l, bufLoad, bufStore, false) {
+	if d.MemDep().Observed(l, bufLoad, bufStore, false) {
 		t.Error("unexpected intra-iteration anti dep")
 	}
 }
@@ -323,7 +326,7 @@ func TestCalleeDepsAttributedToCallSite(t *testing.T) {
 	}
 	// The cross-iteration dependence through `state` must surface as
 	// call->call at the loop level.
-	if !d.MemDep.Observed(l, call, call, true) {
+	if !d.MemDep().Observed(l, call, call, true) {
 		t.Error("cross-iteration dep between call sites not observed")
 	}
 }
@@ -425,8 +428,18 @@ void main() {
 	}
 }
 
-func TestCallChainAndContextSensitivity(t *testing.T) {
-	d := collect(t, `
+// callSiteProbe records the tracker's call sites at every store.
+type callSiteProbe struct {
+	interp.BaseObserver
+	tracker *Tracker
+	seen    map[*ir.Instr][][]*ir.Instr
+}
+
+func (p *callSiteProbe) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
+	p.seen[in] = append(p.seen[in], append([]*ir.Instr(nil), p.tracker.CallSites()...))
+}
+
+const ctxProg = `
 int* bufA;
 int* bufB;
 int out;
@@ -441,7 +454,10 @@ void main() {
     int* a = bufA;
     out = a[0];
     print(out);
-}`)
+}`
+
+func TestCallChainAndContextSensitivity(t *testing.T) {
+	d := collect(t, ctxProg)
 	// Locate the store pointer inside touch and the two call sites.
 	var ptr ir.Value
 	d.Prog.Mod.FuncNamed("touch").Instrs(func(in *ir.Instr) {
@@ -480,6 +496,57 @@ void main() {
 	if got := d.PointsTo.SitesOfCtx(ptr, nil); len(got) != 2 {
 		t.Errorf("nil ctx = %v", got)
 	}
+
+	// The tracker's call sites: empty in main, the active call site in
+	// touch.
+	tracker := NewTracker(d.Prog)
+	probe := &callSiteProbe{tracker: tracker, seen: map[*ir.Instr][][]*ir.Instr{}}
+	tracker.Begin(d.Prog.Mod.FuncNamed("main"))
+	if _, err := interp.Run(d.Prog.Mod, interp.Options{Observers: []interp.Observer{tracker, probe}}); err != nil {
+		t.Fatal(err)
+	}
+	for in, chains := range probe.seen {
+		for i, chain := range chains {
+			switch fn := in.Blk.Fn.Name; {
+			case fn == "main" && len(chain) != 0:
+				t.Errorf("store in main sees call sites %v", chain)
+			case fn == "touch" && (len(chain) != 1 || chain[0] != calls[i/60]):
+				t.Errorf("store %d in touch sees call sites %v, want [%v]", i, chain, calls[i/60])
+			}
+		}
+	}
+	if n := len(probe.seen); n == 0 {
+		t.Fatal("probe saw no stores")
+	}
+}
+
+func TestCallSitesKeepInnermostThree(t *testing.T) {
+	d := collect(t, `
+int out;
+void f4() { out = out + 1; }
+void f3() { f4(); }
+void f2() { f3(); }
+void f1() { f2(); }
+void main() { f1(); print(out); }`)
+	tracker := NewTracker(d.Prog)
+	probe := &callSiteProbe{tracker: tracker, seen: map[*ir.Instr][][]*ir.Instr{}}
+	tracker.Begin(d.Prog.Mod.FuncNamed("main"))
+	if _, err := interp.Run(d.Prog.Mod, interp.Options{Observers: []interp.Observer{tracker, probe}}); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for in, chains := range probe.seen {
+		if in.Blk.Fn.Name != "f4" {
+			continue
+		}
+		for _, c := range chains[0] {
+			got = append(got, c.Blk.Fn.Name)
+		}
+	}
+	// main→f1→f2→f3→f4: the innermost three sites are in f1, f2 and f3.
+	if want := "f1 f2 f3"; strings.Join(got, " ") != want {
+		t.Errorf("call sites in f4 are in %v, want %s", got, want)
+	}
 }
 
 func TestCtxSuffixHashProperties(t *testing.T) {
@@ -503,5 +570,76 @@ func TestCtxSuffixHashProperties(t *testing.T) {
 	}
 	if CtxSuffixHash([]*ir.Instr{c1, c2}) == CtxSuffixHash([]*ir.Instr{c2, c1}) {
 		t.Error("hash must be order-sensitive")
+	}
+	// The inline FNV-64a must keep the values of hash/fnv over each site's
+	// little-endian ID followed by its function name.
+	for _, chain := range [][]*ir.Instr{nil, {c1}, {c2, c1}, {c1, c2, c1}} {
+		h := fnv.New64a()
+		for _, s := range chain {
+			var buf [8]byte
+			binary.LittleEndian.PutUint64(buf[:], uint64(s.ID))
+			h.Write(buf[:])
+			h.Write([]byte(s.Blk.Fn.Name))
+		}
+		if got, want := CtxSuffixHash(chain), h.Sum64(); got != want {
+			t.Errorf("CtxSuffixHash(%v) = %#x, hash/fnv gives %#x", chain, got, want)
+		}
+	}
+}
+
+// TestMemDepReaderDedupAcrossFrames: a callee without loops of its own
+// sees its caller's loop tags unchanged, so reads of one word by the
+// caller and by its callee in the same iteration are one reader, and the
+// store that follows counts one anti dependence per iteration, not two.
+func TestMemDepReaderDedupAcrossFrames(t *testing.T) {
+	d := collect(t, `
+int x;
+int sink;
+void h() { sink = sink + x; }
+void g() { sink = sink + x; h(); }
+void main() {
+    for (int i = 0; i < 50; i++) {
+        g();
+        x = i;
+    }
+    print(sink);
+}`)
+	l := findLoop(t, d, "main", "")
+	xG := d.Prog.Mod.GlobalNamed("x")
+	var call, store *ir.Instr
+	d.Prog.Mod.FuncNamed("main").Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpCall && in.Callee != nil {
+			call = in
+		}
+		if in.Op == ir.OpStore && in.Args[1] == ir.Value(xG) {
+			store = in
+		}
+	})
+	if call == nil || store == nil {
+		t.Fatal("call or store not found")
+	}
+	if n := d.MemDep().Count(DepKey{Loop: l, Src: call, Dst: store, Kind: Anti}); n != 50 {
+		t.Errorf("intra-iteration anti call->store count = %d, want 50 (one reader per iteration)", n)
+	}
+}
+
+// TestMemDepConservativeOnFailedRun: when the on-demand run fails, the
+// profile must observe every dependence rather than none, or the memory-
+// speculation baseline would disprove them all.
+func TestMemDepConservativeOnFailedRun(t *testing.T) {
+	d := collect(t, depProg)
+	l := findLoop(t, d, "main", "")
+	var store *ir.Instr
+	d.Prog.Mod.FuncNamed("main").Instrs(func(in *ir.Instr) {
+		if in.Op == ir.OpStore {
+			store = in
+		}
+	})
+	starved := &Data{Prog: d.Prog, runOpts: interp.Options{MaxSteps: 10}}
+	if !starved.MemDep().Observed(l, store, store, false) {
+		t.Error("a failed run must observe every dependence")
+	}
+	if d.MemDep().Observed(l, store, store, false) {
+		t.Error("the store->store intra-iteration dep of depProg does not manifest")
 	}
 }

@@ -8,24 +8,39 @@ import (
 // ResidueProfile records, for every pointer SSA value, the set of values
 // its four least-significant bits took during profiling (paper §4.2.3,
 // pointer-residue speculation after Johnson).
+//
+// While the program runs it keeps one dense record per accessing
+// instruction; Finish merges the records of instructions that share a
+// pointer operand into the per-value masks the queries read.
 type ResidueProfile struct {
 	interp.BaseObserver
+	ix  *denseIndex
+	acc []residueAccess
+
 	masks  map[ir.Value]uint16
 	counts map[ir.Value]int64
 }
 
+type residueAccess struct {
+	mask  uint16
+	count int64
+}
+
 // NewResidueProfile creates an empty residue profiler.
-func NewResidueProfile() *ResidueProfile {
-	return &ResidueProfile{masks: map[ir.Value]uint16{}, counts: map[ir.Value]int64{}}
+func NewResidueProfile() *ResidueProfile { return &ResidueProfile{} }
+
+func (p *ResidueProfile) use(ix *denseIndex) {
+	p.ix = ix
+	p.acc = make([]residueAccess, len(ix.instrs))
 }
 
 func (p *ResidueProfile) record(in *ir.Instr, addr uint64) {
-	ptr, _, ok := in.PointerOperand()
-	if !ok {
-		return
+	if p.ix == nil {
+		p.use(newDenseIndex(in.Blk.Fn.Mod, nil))
 	}
-	p.masks[ptr] |= 1 << (addr & 15)
-	p.counts[ptr]++
+	a := &p.acc[p.ix.instr(in)]
+	a.mask |= 1 << (addr & 15)
+	a.count++
 }
 
 func (p *ResidueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
@@ -34,6 +49,21 @@ func (p *ResidueProfile) Load(in *ir.Instr, addr uint64, size int64, val uint64,
 
 func (p *ResidueProfile) Store(in *ir.Instr, addr uint64, size int64, val uint64, o *interp.Object) {
 	p.record(in, addr)
+}
+
+// Finish merges the per-instruction records into the per-value masks the
+// queries read. Collect calls it once the run ends.
+func (p *ResidueProfile) Finish() {
+	p.masks = map[ir.Value]uint16{}
+	p.counts = map[ir.Value]int64{}
+	for slot, a := range p.acc {
+		if a.count == 0 {
+			continue
+		}
+		ptr, _, _ := p.ix.instrs[slot].PointerOperand()
+		p.masks[ptr] |= a.mask
+		p.counts[ptr] += a.count
+	}
 }
 
 // Mask returns the residue bitmask of pointer v (bit i set iff residue i

@@ -19,21 +19,45 @@ type LoopEntry struct {
 	Act uint64
 	// Iter counts iterations within this activation, starting at 0.
 	Iter int64
-	// liveObjs is used by the lifetime profiler: objects allocated in the
-	// current iteration that have not been freed yet.
-	liveObjs map[*interp.Object]bool
+
+	id int32 // dense loop number
+	// live lists the objects allocated in the current iteration, for the
+	// lifetime profiler; freed ones are skipped when the iteration ends.
+	live []*interp.Object
+	// snap is the memory-dependence profiler's snapshot of iteration
+	// snapIter of this activation, shared by every access in it.
+	snap     *snapshot
+	snapIter int64
 }
 
-// Frame mirrors one interpreter call frame.
-type Frame struct {
-	Fn *ir.Func
-	// CallSite is the call instruction in THIS frame currently executing a
+// frame mirrors one interpreter call frame.
+type frame struct {
+	fn *ir.Func
+	fi *fnIndex
+	// site is the call instruction in this frame currently executing a
 	// callee (set just before the Call event pushes the next frame).
-	CallSite *ir.Instr
-	loops    []*LoopEntry
+	site *ir.Instr
+	// loopBase is the index in Tracker.loops of this frame's outermost
+	// active loop entry.
+	loopBase int
+	ctx      int32 // interned innermost call sites, see callCtx
+	// base is the memory-dependence snapshot of the loops of every frame
+	// below this one, computed on first use.
+	base *snapshot
 }
 
-// IterListener is notified at loop-iteration boundaries.
+// callCtx is an interned call-site context: the innermost ≤maxCtxSuffix
+// call sites on the stack, outermost first, with the CtxSuffixHash of each
+// suffix (hash[k-1] covers the innermost k sites).
+type callCtx struct {
+	sites [maxCtxSuffix]*ir.Instr
+	n     int
+	hash  [maxCtxSuffix]uint64
+}
+
+// IterListener is notified at loop-iteration boundaries. The tracker
+// recycles the entries of ended activations, so a listener must not keep
+// e past LoopExit.
 type IterListener interface {
 	// IterEnd fires when an iteration of e completes (including the last
 	// one, just before the loop exits or its frame unwinds).
@@ -43,100 +67,102 @@ type IterListener interface {
 }
 
 // Tracker maintains the dynamic loop-nest/call-stack state all the
-// loop-sensitive profilers share. It must be registered BEFORE any
-// profiler that reads it, so its state is current when they observe the
-// same event.
+// loop-sensitive profilers share: one flat vector of the active loop
+// entries of every frame, kept current at Edge, Call and Return, and the
+// interned innermost call sites, kept current at Call and Return. It must
+// be registered BEFORE any profiler that reads it, so its state is current
+// when they observe the same event.
 type Tracker struct {
 	interp.BaseObserver
-	prog    *cfg.Program
-	frames  []*Frame
+	ix      *denseIndex
+	frames  []frame
+	loops   []*LoopEntry
+	free    []*LoopEntry // entries of ended activations, for reuse
 	nextAct uint64
 	iterLis []IterListener
+
+	ctxs  []callCtx
+	ctxOf map[[maxCtxSuffix]*ir.Instr]int32
 }
 
-// NewTracker creates a tracker over prog. Run registers the initial main
-// frame via Begin.
-func NewTracker(prog *cfg.Program) *Tracker { return &Tracker{prog: prog} }
+// NewTracker creates a tracker over prog, numbering its instructions,
+// blocks, sites and loops. Run registers the initial main frame via Begin.
+func NewTracker(prog *cfg.Program) *Tracker {
+	return &Tracker{
+		ix:    newDenseIndex(prog.Mod, prog),
+		ctxs:  []callCtx{{}},
+		ctxOf: map[[maxCtxSuffix]*ir.Instr]int32{{}: 0},
+	}
+}
 
 // AddIterListener subscribes l to iteration boundaries.
 func (t *Tracker) AddIterListener(l IterListener) { t.iterLis = append(t.iterLis, l) }
 
 // Begin resets the tracker to a single main frame.
 func (t *Tracker) Begin(main *ir.Func) {
-	t.frames = []*Frame{{Fn: main}}
+	t.frames = append(t.frames[:0], frame{fn: main, fi: t.ix.fns[main]})
+	t.loops = t.loops[:0]
 }
 
-// Frames exposes the current frame stack (bottom first).
-func (t *Tracker) Frames() []*Frame { return t.frames }
+// Active returns the active loop entries of every frame, outermost frame
+// and outermost loop first.
+func (t *Tracker) Active() []*LoopEntry { return t.loops }
 
-// Loops exposes the frame's active loop entries, outermost first.
-func (f *Frame) Loops() []*LoopEntry { return f.loops }
+// CallSites returns the innermost ≤3 call sites leading to the current
+// frame, outermost first (empty in main).
+func (t *Tracker) CallSites() []*ir.Instr {
+	c := &t.ctxs[t.ctx()]
+	return c.sites[:c.n]
+}
 
-// Top returns the current frame.
-func (t *Tracker) Top() *Frame {
+// ctx returns the interned call-site context of the current frame.
+func (t *Tracker) ctx() int32 {
 	if len(t.frames) == 0 {
-		return nil
+		return 0
 	}
-	return t.frames[len(t.frames)-1]
+	return t.frames[len(t.frames)-1].ctx
 }
 
-// CallChain returns the call sites leading to the current frame, outermost
-// first (empty in main).
-func (t *Tracker) CallChain() []*ir.Instr {
-	var out []*ir.Instr
-	for _, fr := range t.frames[:max(len(t.frames)-1, 0)] {
-		if fr.CallSite != nil {
-			out = append(out, fr.CallSite)
-		}
+// pushCtx interns the context parent extended by site.
+func (t *Tracker) pushCtx(parent int32, site *ir.Instr) int32 {
+	p := &t.ctxs[parent]
+	var key [maxCtxSuffix]*ir.Instr
+	n := copy(key[:], p.sites[max(p.n+1-maxCtxSuffix, 0):p.n])
+	key[n] = site
+	n++
+	if id, ok := t.ctxOf[key]; ok {
+		return id
 	}
-	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
+	c := callCtx{sites: key, n: n}
+	for k := 1; k <= n; k++ {
+		c.hash[k-1] = CtxSuffixHash(key[n-k : n])
 	}
-	return b
-}
-
-// ActiveLoops invokes fn for every active loop entry, innermost frame
-// last; rep is the instruction representing the current activity for that
-// entry's loop: the current instruction for the top frame, or the
-// call site through which control left the entry's frame.
-func (t *Tracker) ActiveLoops(cur *ir.Instr, fn func(e *LoopEntry, rep *ir.Instr)) {
-	for fi, fr := range t.frames {
-		var rep *ir.Instr
-		if fi == len(t.frames)-1 {
-			rep = cur
-		} else {
-			rep = fr.CallSite
-		}
-		for _, e := range fr.loops {
-			fn(e, rep)
-		}
-	}
+	id := int32(len(t.ctxs))
+	t.ctxs = append(t.ctxs, c)
+	t.ctxOf[key] = id
+	return id
 }
 
 func (t *Tracker) Call(site *ir.Instr, callee *ir.Func) {
-	if top := t.Top(); top != nil {
-		top.CallSite = site
+	var ctx int32
+	if n := len(t.frames); n > 0 {
+		t.frames[n-1].site = site
+		ctx = t.pushCtx(t.frames[n-1].ctx, site)
 	}
-	t.frames = append(t.frames, &Frame{Fn: callee})
+	t.frames = append(t.frames, frame{fn: callee, fi: t.ix.fns[callee], loopBase: len(t.loops), ctx: ctx})
 }
 
 func (t *Tracker) Return(callee *ir.Func) {
-	if top := t.Top(); top != nil {
+	if n := len(t.frames); n > 0 {
 		// Defensively close any loop activations that survived to return.
-		for i := len(top.loops) - 1; i >= 0; i-- {
-			t.endIter(top.loops[i])
-			t.exitLoop(top.loops[i])
+		base := t.frames[n-1].loopBase
+		for len(t.loops) > base {
+			t.pop()
 		}
+		t.frames = t.frames[:n-1]
 	}
-	if len(t.frames) > 0 {
-		t.frames = t.frames[:len(t.frames)-1]
-	}
-	if top := t.Top(); top != nil {
-		top.CallSite = nil
+	if n := len(t.frames); n > 0 {
+		t.frames[n-1].site = nil
 	}
 }
 
@@ -146,41 +172,53 @@ func (t *Tracker) endIter(e *LoopEntry) {
 	}
 }
 
-func (t *Tracker) exitLoop(e *LoopEntry) {
+// pop ends the innermost active loop entry's last iteration and its
+// activation, and recycles the entry.
+func (t *Tracker) pop() {
+	e := t.loops[len(t.loops)-1]
+	t.endIter(e)
 	for _, l := range t.iterLis {
 		l.LoopExit(e)
 	}
+	t.loops = t.loops[:len(t.loops)-1]
+	t.free = append(t.free, e)
+}
+
+// push starts a new activation of loop number id.
+func (t *Tracker) push(id int32) {
+	t.nextAct++
+	var e *LoopEntry
+	if n := len(t.free); n > 0 {
+		e = t.free[n-1]
+		t.free = t.free[:n-1]
+		*e = LoopEntry{live: e.live[:0]}
+	} else {
+		e = &LoopEntry{}
+	}
+	e.Loop, e.Act, e.id = t.ix.loops[id], t.nextAct, id
+	t.loops = append(t.loops, e)
 }
 
 func (t *Tracker) Edge(fn *ir.Func, from, to *ir.Block) {
-	top := t.Top()
-	if top == nil || top.Fn != fn {
+	n := len(t.frames)
+	if n == 0 || t.frames[n-1].fn != fn {
 		return
 	}
+	top := &t.frames[n-1]
 	// Pop loops the edge leaves.
-	for len(top.loops) > 0 {
-		e := top.loops[len(top.loops)-1]
-		if e.Loop.Contains(to) {
-			break
-		}
-		t.endIter(e)
-		t.exitLoop(e)
-		top.loops = top.loops[:len(top.loops)-1]
+	for len(t.loops) > top.loopBase && !t.ix.inLoop(t.loops[len(t.loops)-1].id, to) {
+		t.pop()
 	}
 	// Header entry: back edge advances the iteration, outside entry starts
 	// a new activation.
-	forest := t.prog.Forests[fn]
-	if l := forest.ByHeader[to]; l != nil {
-		if len(top.loops) > 0 && top.loops[len(top.loops)-1].Loop == l {
-			e := top.loops[len(top.loops)-1]
+	if id := top.fi.header[to.Index]; id >= 0 {
+		if len(t.loops) > top.loopBase && t.loops[len(t.loops)-1].id == id {
+			e := t.loops[len(t.loops)-1]
 			t.endIter(e)
 			e.Iter++
-			if e.liveObjs != nil && len(e.liveObjs) > 0 {
-				e.liveObjs = map[*interp.Object]bool{}
-			}
+			e.live = e.live[:0]
 		} else {
-			t.nextAct++
-			top.loops = append(top.loops, &LoopEntry{Loop: l, Act: t.nextAct})
+			t.push(id)
 		}
 	}
 }

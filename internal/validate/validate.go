@@ -204,11 +204,9 @@ func (m *monitor) install(asserts []core.Assertion) error {
 // activeLoop reports whether a loop with the given header is active, and
 // its current activation/iteration.
 func (m *monitor) activeLoop(header *ir.Block) (act uint64, iter int64, ok bool) {
-	for _, fr := range m.tracker.Frames() {
-		for _, e := range fr.Loops() {
-			if e.Loop.Header == header {
-				return e.Act, e.Iter, true
-			}
+	for _, e := range m.tracker.Active() {
+		if e.Loop.Header == header {
+			return e.Act, e.Iter, true
 		}
 	}
 	return 0, 0, false
