@@ -47,7 +47,7 @@ runtime:
 # own suite, the server's fleet tests (cross-instance remote hits,
 # fleet-wide quarantine invalidation with the guaranteed-miss proof), and
 # the router suite (broadcast consensus, sharded-read byte-identity vs a
-# single cold instance, backend loss + journal-replay rejoin) — then a
+# single cold instance, backend loss + live-set catch-up rejoin) — then a
 # fleet byte-identity oracle sweep: generated programs served through
 # router + 2 peer backends must byte-equal a single instance, serially
 # and under concurrent fire.
@@ -61,7 +61,8 @@ fleet:
 # ring bounded-movement property), the membership chaos suite (joiner
 # killed mid-stream rolls back, old owner killed mid-drain degrades to
 # 503s, double-join and leave-during-join are refused, dead-member leave
-# never wedges, byte-identity and durable membership after a join), the
+# never wedges, byte-identity and durable membership after a join, a
+# violation observed mid-join reaches the joiner), the
 # prober-backoff test, the loadgen membership schedule (live join/leave
 # mid-saturation must not change the deterministic digest) — then a
 # 25-seed live-membership oracle sweep: join and leave under concurrent
@@ -96,7 +97,7 @@ loadgen:
 # snapshot-during-drain stress), the server warm-restart suite (byte-
 # identical warm boots, a restart straddling an /observe quarantine with
 # the physical-miss proof, journal-blocked resurrection after a crash,
-# idempotent shutdown, periodic snapshots, router journal persistence),
+# idempotent shutdown, periodic snapshots, router live-set persistence),
 # the tier Close regressions — then a 25-seed warm-restart oracle sweep
 # and a 30s corruption-fuzz smoke over the committed corpus.
 persist:

@@ -145,8 +145,8 @@ func printRun(rep *loadgen.Report) {
 	fmt.Printf("deterministic: requests=%d queries=%d analyzes=%d deadlined=%d samples=%d\n",
 		d.Requests, d.Queries, d.Analyzes, d.Deadlined, d.DigestSamples)
 	fmt.Printf("deterministic: schedule=%s answers=%s\n", d.ScheduleDigest, d.AnswerDigest)
-	fmt.Printf("measured: %.1f qps over %dms; p50=%dus p90=%dus p99=%dus max=%dus; statuses=%v transport=%d\n",
-		m.QPS, m.DurationMS, m.P50US, m.P90US, m.P99US, m.MaxUS, m.Statuses, m.Transport)
+	fmt.Printf("measured: %.1f qps over %dms; p50=%dus p90=%dus p99=%dus max=%dus; statuses=%v transport=%d retried_429=%d\n",
+		m.QPS, m.DurationMS, m.P50US, m.P90US, m.P99US, m.MaxUS, m.Statuses, m.Transport, m.Retried429)
 }
 
 func printSaturation(rep *loadgen.SaturationReport) {

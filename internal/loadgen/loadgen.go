@@ -124,6 +124,9 @@ type Measured struct {
 	// during a membership script — the bounded, client-visible cost of a
 	// live move, reported separately from final statuses.
 	Moved503 int64 `json:"moved_503"`
+	// Retried429 counts 429 backpressure responses that were retried (in
+	// every mode): load the target shed, not an answer.
+	Retried429 int64 `json:"retried_429"`
 }
 
 // Report is one load run's outcome.
@@ -237,6 +240,7 @@ func Run(cfg Config) (*Report, error) {
 		transport int
 		lats      []int64
 		moved503  int64
+		shed429   int64
 	)
 
 	// The membership runner fires scripted events in order, each once the
@@ -287,12 +291,13 @@ func Run(cfg Config) (*Report, error) {
 		go func(a arrival) {
 			defer wg.Done()
 			t0 := time.Now()
-			status, payload, retries, terr := fireRetry(hc, cfg, sess, pairs[a.pair], a)
+			status, payload, moved, shed, terr := fireRetry(hc, cfg, sess, pairs[a.pair], a)
 			lat := time.Since(t0).Microseconds()
 			mu.Lock()
 			defer mu.Unlock()
 			lats = append(lats, lat)
-			moved503 += int64(retries)
+			moved503 += int64(moved)
+			shed429 += int64(shed)
 			if terr {
 				transport++
 				return
@@ -326,6 +331,7 @@ func Run(cfg Config) (*Report, error) {
 		Statuses:   statuses,
 		Transport:  transport,
 		Moved503:   moved503,
+		Retried429: shed429,
 	}
 	return rep, nil
 }
@@ -355,22 +361,29 @@ func fireEvent(hc *http.Client, cfg Config, ev MembershipEvent) error {
 	return nil
 }
 
-// fireRetry issues one scheduled request; under a membership script it
-// retries bounded 503s (a segment mid-move answers 503 backend_down with
-// Retry-After until its drain completes), so the arrival's final answer is
-// the one that lands in the digest. The advertised Retry-After is scaled
-// down for loopback — the router speaks whole seconds, the window is
-// milliseconds — but still ordered by it.
-func fireRetry(hc *http.Client, cfg Config, sess string, p queryPair, a arrival) (int, []byte, int, bool) {
+// fireRetry issues one scheduled request and retries bounded refusals,
+// so the arrival's final answer is the one that lands in the digest: a
+// 429 (the target shed load) in every mode, and under a membership script
+// a 503 (a segment mid-move answers 503 backend_down with Retry-After
+// until its drain completes). It returns the final answer and how many
+// 503s and 429s it retried. The advertised Retry-After is scaled down for
+// loopback — the router speaks whole seconds, the window is milliseconds —
+// but still ordered by it.
+func fireRetry(hc *http.Client, cfg Config, sess string, p queryPair, a arrival) (status int, payload []byte, moved, shed int, terr bool) {
 	const retryCap = 400
-	retries := 0
 	for {
-		status, payload, retryAfter, terr := fire(hc, cfg, sess, p, a)
-		if terr || status != http.StatusServiceUnavailable ||
-			len(cfg.Membership) == 0 || retries >= retryCap {
-			return status, payload, retries, terr
+		var retryAfter int
+		status, payload, retryAfter, terr = fire(hc, cfg, sess, p, a)
+		retryable := status == http.StatusTooManyRequests ||
+			(status == http.StatusServiceUnavailable && len(cfg.Membership) > 0)
+		if terr || !retryable || moved+shed >= retryCap {
+			return status, payload, moved, shed, terr
 		}
-		retries++
+		if status == http.StatusTooManyRequests {
+			shed++
+		} else {
+			moved++
+		}
 		delay := 25 * time.Millisecond
 		if d := time.Duration(retryAfter) * 50 * time.Millisecond; d > delay {
 			delay = d

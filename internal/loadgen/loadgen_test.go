@@ -1,8 +1,11 @@
 package loadgen
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"scaf/internal/server"
@@ -68,6 +71,39 @@ func TestLoadgenDeterministicCounters(t *testing.T) {
 	}
 	if first.AnswerDigest == "" || first.AnswerDigest == "0000000000000000" {
 		t.Fatalf("answer digest is degenerate: %q", first.AnswerDigest)
+	}
+}
+
+// TestLoadgenRetriesBackpressure: a target shedding load with 429 +
+// Retry-After costs retries, never answers. Every arrival still lands a
+// 200, the retries are counted in Measured.Retried429, and the
+// deterministic section equals an unshed run's.
+func TestLoadgenRetriesBackpressure(t *testing.T) {
+	want := runOnce(t)
+	h := server.New(server.Config{Workers: 4, MaxQueue: 16}).Handler()
+	var n atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Shed every third analysis request after the warmup analyze.
+		if strings.HasSuffix(r.URL.Path, "/query") || strings.HasSuffix(r.URL.Path, "/analyze") {
+			if c := n.Add(1); c > 1 && c%3 == 0 {
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, `{"error":{"code":"overloaded"}}`, http.StatusTooManyRequests)
+				return
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	rep, err := Run(testConfig(ts.URL))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := rep.Measured.Statuses[200]; got != rep.Deterministic.Requests || rep.Measured.Retried429 == 0 {
+		t.Fatalf("statuses = %v, retried_429 = %d; want all %d to be 200 after retries",
+			rep.Measured.Statuses, rep.Measured.Retried429, rep.Deterministic.Requests)
+	}
+	if rep.Deterministic != want {
+		t.Fatalf("shed run's deterministic section = %+v, want %+v", rep.Deterministic, want)
 	}
 }
 

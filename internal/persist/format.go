@@ -57,8 +57,7 @@ const (
 const (
 	KindEntry    byte = 'e' // one fleet cache entry
 	KindRevoked  byte = 'r' // a batch of revoked assertion keys
-	KindJournal  byte = 'j' // one router journal mutation
-	KindSessions byte = 's' // router session→loops map record
+	KindSessions byte = 's' // one router live-session record
 	KindMembers  byte = 'm' // one router fleet-membership record (id=url)
 )
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,25 +20,28 @@ import (
 // 503 on the segments that are moving:
 //
 //   - pending: the newcomer is registered but excluded from broadcasts
-//     and placement; it is caught up like a rejoining backend (journal
-//     replay rebuilds the same session IDs in the same order, quarantine
-//     is re-synced as the union over live peers).
+//     and placement; it is caught up like a rejoining backend (catchUp
+//     recreates the live sessions under their IDs and re-syncs quarantine
+//     as the union over live peers), but deletes nothing: a newcomer
+//     holding a session the fleet does not is refused.
 //   - streaming: each current owner exports the cache segment the
 //     newcomer will own under the next ring, through the persist codec,
 //     so the transfer inherits the corruption-to-miss ladder — a torn
 //     stream yields a cold segment, never a wrong entry.
-//   - draining: mutations serialize behind the broadcast lock, a segment
-//     fence refuses reads whose owner changes between the rings (503 +
-//     Retry-After), and the read generation in flight under the old
-//     placement is drained to completion.
+//   - draining: mutations serialize behind the broadcast lock, every
+//     member's cache tier learns the newcomer, a second catchUp applies
+//     what changed while streaming, a segment fence refuses reads whose
+//     owner changes between the rings (503 + Retry-After), and the read
+//     generation in flight under the old placement is drained to
+//     completion.
 //   - owned: the ring flips; no request was ever answered by two owners.
 //
 // Any failure that cannot be attributed and repaired rolls the move back
 // to the old owners: membership is unchanged, the newcomer's registration
-// is dropped, and the fence comes down. Leave is the dual, with one
-// asymmetry: a leaver that is already dead is removed without streaming —
-// dead-member removal is the permanent-loss recovery path and must never
-// wedge on the corpse.
+// is dropped (and taken out of the members' cache tiers), and the fence
+// comes down. Leave is the dual, with one asymmetry: a leaver that is
+// already dead is removed without streaming — dead-member removal is the
+// permanent-loss recovery path and must never wedge on the corpse.
 
 // JoinRequest admits one backend into the fleet.
 type JoinRequest struct {
@@ -52,15 +56,15 @@ type LeaveRequest struct {
 
 // MoveReport is the admin-visible outcome of a completed join or leave.
 type MoveReport struct {
-	Op              string         `json:"op"`
-	ID              string         `json:"id"`
-	JournalReplayed int            `json:"journal_replayed"`
-	Segments        map[string]int `json:"segments,omitempty"` // counterpart -> entries restored
-	EntriesInserted int            `json:"entries_inserted"`
-	EntriesRejected int            `json:"entries_rejected"`
-	OwnersSkipped   int            `json:"owners_skipped,omitempty"`
-	DrainMS         int64          `json:"drain_ms"`
-	Members         []string       `json:"members"`
+	Op               string         `json:"op"`
+	ID               string         `json:"id"`
+	SessionsReplayed int            `json:"sessions_replayed"`
+	Segments         map[string]int `json:"segments,omitempty"` // counterpart -> entries restored
+	EntriesInserted  int            `json:"entries_inserted"`
+	EntriesRejected  int            `json:"entries_rejected"`
+	OwnersSkipped    int            `json:"owners_skipped,omitempty"`
+	DrainMS          int64          `json:"drain_ms"`
+	Members          []string       `json:"members"`
 }
 
 func moveErr(status int, code, format string, args ...any) *httpError {
@@ -76,23 +80,21 @@ func (rt *Router) hook(op, phase, id string) {
 
 // rollbackMove abandons an in-progress move: the fence comes down, the
 // old ring keeps ownership, and a joiner that never became a member
-// loses its registration. The fleet is exactly as before the request.
+// loses its registration and leaves the members' cache tiers (best
+// effort, as in runLeave). The fleet is exactly as before the request.
 func (rt *Router) rollbackMove(op, id string) {
 	rt.mu.Lock()
-	if op == "join" {
-		member := false
-		for _, x := range rt.ids {
-			if x == id {
-				member = true
-			}
-		}
-		if !member {
-			delete(rt.base, id)
-		}
+	dropJoiner := op == "join" && !slices.Contains(rt.ids, id)
+	if dropJoiner {
+		delete(rt.base, id)
 	}
+	members := slices.Clone(rt.ids)
 	rt.nextRing = nil
 	rt.moveID, rt.moveOp = "", ""
 	rt.mu.Unlock()
+	if dropJoiner {
+		rt.dropPeer(id, members)
+	}
 	rt.rollbacks.Add(1)
 	rt.hook(op, "rolledback", id)
 }
@@ -136,27 +138,38 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.mu.Lock()
-	if rt.moveID != "" {
-		op, mid := rt.moveOp, rt.moveID
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "move_in_progress",
-			"%s of %s is in progress; one membership change at a time", op, mid))
-		return
+	_, exists := rt.base[req.ID]
+	var he *httpError
+	switch {
+	case rt.moveID != "":
+		he = rt.errMoveInProgress()
+	case exists:
+		he = moveErr(http.StatusConflict, "already_member", "backend %s is already a fleet member", req.ID)
+	default:
+		rt.moveID, rt.moveOp = req.ID, "join"
+		rt.base[req.ID] = req.URL
 	}
-	if _, exists := rt.base[req.ID]; exists {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "already_member",
-			"backend %s is already a fleet member", req.ID))
-		return
-	}
-	rt.moveID, rt.moveOp = req.ID, "join"
-	rt.base[req.ID] = req.URL
-	members := append([]string(nil), rt.ids...)
+	members := slices.Clone(rt.ids)
 	rt.mu.Unlock()
-
-	rep, he := rt.runJoin(req.ID, members)
 	if he != nil {
-		rt.rollbackMove("join", req.ID)
+		writeError(w, he)
+		return
+	}
+	rep, he := rt.runJoin(req.ID, members)
+	rt.answerMove(w, "join", req.ID, rep, he)
+}
+
+// errMoveInProgress refuses a second membership change. Caller holds mu.
+func (rt *Router) errMoveInProgress() *httpError {
+	return moveErr(http.StatusConflict, "move_in_progress",
+		"%s of %s is in progress; one membership change at a time", rt.moveOp, rt.moveID)
+}
+
+// answerMove writes the outcome of a move that started, rolling it back
+// on failure.
+func (rt *Router) answerMove(w http.ResponseWriter, op, id string, rep *MoveReport, he *httpError) {
+	if he != nil {
+		rt.rollbackMove(op, id)
 		writeError(w, he)
 		return
 	}
@@ -166,50 +179,15 @@ func (rt *Router) handleJoin(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError) {
 	rt.hook("join", "pending", id)
 
-	// The joiner must be alive, and either empty (fresh process: replay
-	// the journal into it) or already holding exactly our session set (a
-	// retry after a rollback later in the move). Anything else is foreign
-	// state we must not own.
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s is unreachable", id)
-	}
-	st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
-	if st != http.StatusOK {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s cannot list sessions", id)
-	}
-	var have []SessionInfo
-	if err := json.Unmarshal(body, &have); err != nil {
-		return nil, moveErr(http.StatusBadGateway, "join_failed", "joiner %s returned a malformed session list", id)
-	}
-
-	rt.mu.Lock()
-	j0 := len(rt.journal)
-	journal := append([]routerJournalEntry(nil), rt.journal...)
-	want := make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
-	}
-	rt.mu.Unlock()
-
+	// Catch the joiner up with the live session set: a fresh process gets
+	// every live session, a retry after a rollback only what it misses.
+	// A joiner holding any session the fleet does not hold the same way
+	// is foreign state we must neither own nor delete (409 joiner_state).
 	rep := &MoveReport{Op: "join", ID: id, Segments: map[string]int{}}
-	switch {
-	case len(have) == 0:
-		for _, e := range journal {
-			if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-				return nil, moveErr(http.StatusBadGateway, "join_failed",
-					"joiner %s died during journal replay", id)
-			}
-			rep.JournalReplayed++
-		}
-	case matchesSessionSet(have, want):
-		// Already caught up; only the segments need (re)streaming.
-	default:
-		return nil, moveErr(http.StatusConflict, "joiner_state",
-			"joiner %s holds sessions that are not ours; restart it empty", id)
-	}
-	if !rt.syncQuarantine(id, want) {
-		return nil, moveErr(http.StatusBadGateway, "join_failed",
-			"quarantine sync to joiner %s failed", id)
+	synced, n, he := rt.catchUp(id, nil)
+	rep.SessionsReplayed += n
+	if he != nil {
+		return nil, he
 	}
 
 	// Stream the joiner's future segments from their current owners,
@@ -224,52 +202,34 @@ func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError)
 	newMembers := append(append([]string(nil), members...), id)
 	sort.Strings(newMembers)
 	newRing := fleet.NewRing(newMembers, 0)
-	segReq, _ := json.Marshal(segmentRequest{Nodes: newMembers, Owner: id})
 	for _, ob := range members {
-		if rt.isDown(ob) {
-			rep.OwnersSkipped++
-			continue
+		exported, restored := false, false
+		if !rt.isDown(ob) {
+			exported, restored = rt.streamSegment(ob, id, segmentRequest{Nodes: newMembers, Owner: id}, ob, rep)
 		}
-		st, _, seg := rt.probeSend(ob, http.MethodPost, "/fleet/segment", segReq)
-		if st != http.StatusOK {
+		if !exported {
 			rep.OwnersSkipped++
-			continue
-		}
-		st, _, resp := rt.probeSend(id, http.MethodPost, "/fleet/restore", seg)
-		if st != http.StatusOK {
+		} else if !restored {
 			return nil, moveErr(http.StatusBadGateway, "join_failed",
 				"joiner %s failed to restore the segment streamed from %s", id, ob)
 		}
-		var rr SegmentRestoreResponse
-		_ = json.Unmarshal(resp, &rr)
-		rep.Segments[ob] = rr.Inserted
-		rep.EntriesInserted += rr.Inserted
-		rep.EntriesRejected += rr.Rejected
 	}
 
-	// Fenced phase: serialize against mutations, replay the journal tail
-	// that accumulated while streaming, fence the moving segments, drain
-	// the in-flight reads, and only then flip ownership.
+	// Fenced phase: serialize against mutations. Every cache tier learns
+	// the full membership first, so a recovery broadcast from here on
+	// reaches the joiner; then the second catch-up applies the creates,
+	// deletes and quarantine that landed while streaming. It deletes only
+	// sessions the first pass left on the joiner. Only then fence the
+	// moving segments, drain the in-flight reads, and flip ownership.
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
-
-	rt.mu.Lock()
-	tail := append([]routerJournalEntry(nil), rt.journal[j0:]...)
-	want = make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
+	for _, m := range newMembers {
+		rt.pushMembers(m)
 	}
-	rt.mu.Unlock()
-	for _, e := range tail {
-		if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-			return nil, moveErr(http.StatusBadGateway, "join_failed",
-				"joiner %s died during tail catch-up", id)
-		}
-		rep.JournalReplayed++
-	}
-	if len(tail) > 0 && !rt.syncQuarantine(id, want) {
-		return nil, moveErr(http.StatusBadGateway, "join_failed",
-			"quarantine re-sync to joiner %s failed", id)
+	_, n, he = rt.catchUp(id, func(sid string) bool { return synced[sid] })
+	rep.SessionsReplayed += n
+	if he != nil {
+		return nil, he
 	}
 
 	rt.hook("join", "draining", id)
@@ -282,16 +242,9 @@ func (rt *Router) runJoin(id string, members []string) (*MoveReport, *httpError)
 
 	// Last look before the point of no return: a joiner that died during
 	// the drain must not be handed segments.
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
+	if !rt.healthy(id) {
 		return nil, moveErr(http.StatusBadGateway, "join_failed",
 			"joiner %s died before cutover", id)
-	}
-
-	// Teach every cache tier the full membership (including the joiner)
-	// before its segments take traffic, so recovery broadcasts and peer
-	// lookups reach it from the first post-flip request. Best effort.
-	for _, m := range newMembers {
-		rt.pushMembers(m)
 	}
 
 	rt.mu.Lock()
@@ -322,47 +275,25 @@ func (rt *Router) handleLeave(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.mu.Lock()
-	if rt.moveID != "" {
-		op, mid := rt.moveOp, rt.moveID
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "move_in_progress",
-			"%s of %s is in progress; one membership change at a time", op, mid))
-		return
+	var he *httpError
+	switch {
+	case rt.moveID != "":
+		he = rt.errMoveInProgress()
+	case !slices.Contains(rt.ids, req.ID):
+		he = moveErr(http.StatusNotFound, "not_a_member", "backend %s is not a fleet member", req.ID)
+	case len(rt.ids) == 1:
+		he = moveErr(http.StatusConflict, "last_member", "refusing to remove the last backend %s", req.ID)
+	default:
+		rt.moveID, rt.moveOp = req.ID, "leave"
 	}
-	member := false
-	for _, x := range rt.ids {
-		if x == req.ID {
-			member = true
-		}
-	}
-	if !member {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusNotFound, "not_a_member",
-			"backend %s is not a fleet member", req.ID))
-		return
-	}
-	if len(rt.ids) == 1 {
-		rt.mu.Unlock()
-		writeError(w, moveErr(http.StatusConflict, "last_member",
-			"refusing to remove the last backend %s", req.ID))
-		return
-	}
-	rt.moveID, rt.moveOp = req.ID, "leave"
-	var remaining []string
-	for _, x := range rt.ids {
-		if x != req.ID {
-			remaining = append(remaining, x)
-		}
-	}
+	remaining := slices.DeleteFunc(slices.Clone(rt.ids), func(x string) bool { return x == req.ID })
 	rt.mu.Unlock()
-
-	rep, he := rt.runLeave(req.ID, remaining)
 	if he != nil {
-		rt.rollbackMove("leave", req.ID)
 		writeError(w, he)
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	rep, he := rt.runLeave(req.ID, remaining)
+	rt.answerMove(w, "leave", req.ID, rep, he)
 }
 
 func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpError) {
@@ -378,34 +309,13 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 	// else after the flip, and cold is an acceptable (counted) outcome of
 	// an explicit departure.
 	rt.hook("leave", "streaming", id)
-	alive := !rt.isDown(id)
-	if alive {
-		if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
-			alive = false
-		}
-	}
-	if alive {
+	if !rt.isDown(id) && rt.healthy(id) {
 		for _, s := range remaining {
 			if rt.isDown(s) {
 				rep.OwnersSkipped++
-				continue
-			}
-			segReq, _ := json.Marshal(segmentRequest{Nodes: remaining, Owner: s})
-			st, _, seg := rt.probeSend(id, http.MethodPost, "/fleet/segment", segReq)
-			if st != http.StatusOK {
+			} else if _, restored := rt.streamSegment(id, s, segmentRequest{Nodes: remaining, Owner: s}, s, rep); !restored {
 				rep.OwnersSkipped++
-				continue
 			}
-			st, _, resp := rt.probeSend(s, http.MethodPost, "/fleet/restore", seg)
-			if st != http.StatusOK {
-				rep.OwnersSkipped++
-				continue
-			}
-			var rr SegmentRestoreResponse
-			_ = json.Unmarshal(resp, &rr)
-			rep.Segments[s] = rr.Inserted
-			rep.EntriesInserted += rr.Inserted
-			rep.EntriesRejected += rr.Rejected
 		}
 	} else {
 		rep.OwnersSkipped = len(remaining)
@@ -436,17 +346,49 @@ func (rt *Router) runLeave(id string, remaining []string) (*MoveReport, *httpErr
 	rt.hook("leave", "owned", id)
 	rep.Members = remaining
 
-	// Drop the departed peer from the survivors' cache tiers (best
-	// effort; a stale peer entry costs timeouts that the per-op budget
-	// already fails open).
-	rm, _ := json.Marshal(fleet.MembersRequest{Remove: []string{id}})
-	for _, s := range remaining {
-		rt.probeSend(s, http.MethodPost, "/fleet/members", rm)
-	}
+	rt.dropPeer(id, remaining)
 	if rt.cfg.CacheDir != "" {
 		rt.savePersist()
 	}
 	return rep, nil
+}
+
+// healthy reports whether backend id answers its health check.
+func (rt *Router) healthy(id string) bool {
+	st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil)
+	return st == http.StatusOK
+}
+
+// dropPeer takes id out of the given members' cache tiers (best effort;
+// a stale peer entry costs timeouts that the per-op budget already fails
+// open).
+func (rt *Router) dropPeer(id string, members []string) {
+	rm, _ := json.Marshal(fleet.MembersRequest{Remove: []string{id}})
+	for _, m := range members {
+		rt.probeSend(m, http.MethodPost, "/fleet/members", rm)
+	}
+}
+
+// streamSegment moves one cache segment — the entries owner holds under
+// the ring over seg.Nodes — from backend from into backend to, tallying
+// it in rep under key. exported is false when from could not export it
+// (the segment starts cold); restored is false when to did not take it.
+func (rt *Router) streamSegment(from, to string, seg segmentRequest, key string, rep *MoveReport) (exported, restored bool) {
+	req, _ := json.Marshal(seg)
+	st, _, body := rt.probeSend(from, http.MethodPost, "/fleet/segment", req)
+	if st != http.StatusOK {
+		return false, false
+	}
+	st, _, resp := rt.probeSend(to, http.MethodPost, "/fleet/restore", body)
+	if st != http.StatusOK {
+		return true, false
+	}
+	var rr SegmentRestoreResponse
+	_ = json.Unmarshal(resp, &rr)
+	rep.Segments[key] = rr.Inserted
+	rep.EntriesInserted += rr.Inserted
+	rep.EntriesRejected += rr.Rejected
+	return true, true
 }
 
 // ---- backend-side segment transfer ----

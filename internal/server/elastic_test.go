@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -47,7 +48,7 @@ func warmElasticFleet(t *testing.T, base string, n int) ([]SessionInfo, [][]byte
 }
 
 // TestElasticJoin is the tentpole happy path: a live join streams the
-// session journal and warm cache segments into the spare, flips the
+// live sessions and warm cache segments into the spare, flips the
 // ring, and afterwards (a) answers are byte-identical to the pre-join
 // fleet, (b) the joiner serves warm hits from its streamed segments
 // (nonvacuity), and (c) the grown membership survives a router restart.
@@ -64,8 +65,8 @@ func TestElasticJoin(t *testing.T) {
 	if rep.Op != "join" || len(rep.Members) != 3 {
 		t.Fatalf("join report: %+v", rep)
 	}
-	if rep.JournalReplayed == 0 {
-		t.Fatalf("join replayed no journal entries: %+v", rep)
+	if rep.SessionsReplayed == 0 {
+		t.Fatalf("join replayed no sessions: %+v", rep)
 	}
 	if rep.EntriesInserted == 0 {
 		t.Fatalf("join streamed no warm entries — the cutover is vacuous: %+v", rep)
@@ -384,5 +385,84 @@ func TestRouterProbeBackoff(t *testing.T) {
 	rt.probeDue(time.Now().Add(48 * time.Hour))
 	if got := rt.probe["b0"].fails; got != 4 {
 		t.Fatalf("due backend was not probed: fails=%d", got)
+	}
+}
+
+// TestElasticJoinQuarantineDuringMove: a violation observed through the
+// router while a join is in flight — during streaming, or as the fenced
+// drain begins — must reach the joiner. After the join the joiner holds
+// the same quarantine as an old member and answers the same bytes.
+func TestElasticJoinQuarantineDuringMove(t *testing.T) {
+	for _, phase := range []string{"streaming", "draining"} {
+		t.Run(phase, func(t *testing.T) {
+			h := elasticHarness(t, 2, 1)
+			b0, spare := h.Members[0], h.Spares[0]
+			infos, _ := warmElasticFleet(t, h.URL, 2)
+			sid := infos[0].ID
+			_, raw := do(t, h.URL, "POST", "/sessions/"+sid+"/analyze", AnalyzeRequest{Scheme: "scaf"})
+			keys := harvestAsserts(decode[AnalyzeResponse](t, raw))
+			if len(keys) == 0 {
+				t.Fatal("no predicating assertions to violate")
+			}
+			obs := mustJSON(t, ObserveRequest{Violations: []WireViolation{{Assertion: keys[0], Detail: "mid-join"}}})
+			var observed atomic.Bool
+			h.Router.moveHook = func(op, ph, id string) {
+				if op != "join" || ph != phase {
+					return
+				}
+				if st, raw := h.Do("POST", h.URL+"/sessions/"+sid+"/observe", obs); st != http.StatusOK {
+					t.Errorf("observe at %s: %d %s", phase, st, raw)
+				}
+				observed.Store(true)
+			}
+			if st, raw := do(t, h.URL, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.URL}); st != http.StatusOK {
+				t.Fatalf("join: %d %.400s", st, raw)
+			}
+			if !observed.Load() {
+				t.Fatalf("the %s hook never fired", phase)
+			}
+
+			quarantined := func(base string) []string {
+				_, raw := do(t, base, "GET", "/metrics", nil)
+				if q := decode[MetricsResponse](t, raw).Sessions[sid].Quarantine; q != nil {
+					return q.Asserts
+				}
+				return nil
+			}
+			want, got := quarantined(b0.URL), quarantined(spare.URL)
+			if len(want) != 1 || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("joiner quarantine %v, old member %v", got, want)
+			}
+			if got, want := analyzeJSON(t, spare.URL, sid), analyzeJSON(t, b0.URL, sid); !bytes.Equal(got, want) {
+				t.Fatalf("joiner answers differ from an old member (%d vs %d bytes)", len(got), len(want))
+			}
+		})
+	}
+}
+
+// TestElasticJoinRefusesForeignSession: a join pointed at a backend that
+// holds a session the fleet does not (a scaf-serve serving its own
+// clients) is refused with joiner_state and leaves that session alone.
+func TestElasticJoinRefusesForeignSession(t *testing.T) {
+	h := elasticHarness(t, 2, 1)
+	spare := h.Spares[0]
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	createSession(t, h.URL, req)
+	if st, raw := do(t, spare.URL, "PUT", "/sessions/s9", req); st != http.StatusCreated {
+		t.Fatalf("direct PUT: %d %s", st, raw)
+	}
+	st, raw := do(t, h.URL, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.URL})
+	if st != http.StatusConflict {
+		t.Fatalf("join of a backend with a foreign session: %d %s", st, raw)
+	}
+	if e := decode[ErrorResponse](t, raw); e.Error.Code != "joiner_state" {
+		t.Fatalf("code %q, want joiner_state", e.Error.Code)
+	}
+	if st, _ := do(t, spare.URL, "GET", "/sessions/s9", nil); st != http.StatusOK {
+		t.Fatalf("foreign session after the refused join: %d", st)
+	}
+	_, rraw := do(t, h.URL, "GET", "/metrics", nil)
+	if rm := decode[RouterMetrics](t, rraw); rm.Router.Joins != 0 || rm.Router.Rollbacks != 1 {
+		t.Fatalf("router counters: %+v", rm.Router)
 	}
 }

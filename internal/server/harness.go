@@ -185,8 +185,8 @@ func (h *Harness) Do(method, url string, body []byte) (int, []byte) {
 // server, and http.Server.Shutdown waits five seconds before reaping
 // those. The harness client uses the default transport, so this also
 // drops the pools of callers on http.DefaultClient or any client with a
-// nil Transport. Then the router closes (persisting its journal when
-// durable), every live backend drains (writing its snapshot when
+// nil Transport. Then the router closes (persisting its live session
+// set when durable), every live backend drains (writing its snapshot when
 // durable), and the HTTP servers shut down.
 func (h *Harness) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -276,9 +276,8 @@ func TestServerPeriodicSnapshot(t *testing.T) {
 }
 
 // TestRouterPersistJournal proves a restarted router keeps its rejoin
-// power: the session journal and session map survive Close, and the new
-// router can still replay the full mutation history into an empty
-// backend and serve the same bytes.
+// power: the live session set survives Close, and the new router can
+// still catch up an empty backend and serve the same bytes.
 func TestRouterPersistJournal(t *testing.T) {
 	dir := t.TempDir()
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
@@ -290,11 +289,11 @@ func TestRouterPersistJournal(t *testing.T) {
 	h1.Router.Close() // double Close: must be a no-op
 
 	// The old backend dies with the router; the restarted router fronts a
-	// brand-new empty backend and must rebuild it from the loaded journal.
+	// brand-new empty backend and must rebuild it from the loaded live set.
 	h2 := startHarness(t, HarnessConfig{Members: 1, RouterCacheDir: dir})
 	rt2 := h2.Router
 	rt2.markDown("b0")
-	rt2.Probe() // rejoin: replays the persisted journal into the empty backend
+	rt2.Probe() // rejoin: recreates the persisted live sessions on the empty backend
 
 	status, raw := do(t, h2.URL, "GET", "/metrics", nil)
 	if status != http.StatusOK {
@@ -302,7 +301,7 @@ func TestRouterPersistJournal(t *testing.T) {
 	}
 	m := decode[RouterMetrics](t, raw)
 	if m.Router.Sessions != 1 || m.Router.Rejoins != 1 || len(m.Router.Down) != 0 {
-		t.Fatalf("restarted router did not rejoin from the persisted journal: %+v", m.Router)
+		t.Fatalf("restarted router did not rejoin from the persisted live set: %+v", m.Router)
 	}
 	if got := analyzeJSON(t, h2.URL, info.ID); !bytes.Equal(got, gold) {
 		t.Fatalf("replayed backend serves different bytes than the original fleet")

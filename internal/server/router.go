@@ -7,10 +7,13 @@ import (
 	"hash/fnv"
 	"io"
 	"log"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,20 +24,23 @@ import (
 )
 
 // The fleet's front tier: a Router speaks the exact scaf-serve HTTP
-// surface and spreads it across N backend instances. Session mutations
-// (create, delete) broadcast to every backend in one serialized order, so
-// the backends' session registries — and their sequential session IDs —
-// stay identical; read traffic (analyze, query) shards across backends by
-// consistent hash, which is sound because every answer
-// is a pure function of (session state, proposition): any backend serves
-// the same bytes, the fleet cache tier only changes who computes them.
+// surface and spreads it across N backend instances. The router mints
+// each session ID (s<n>, once per create attempt — the sequence a single
+// scaf-serve mints) and broadcasts the create as PUT /sessions/{id};
+// creates and deletes go to every backend in one serialized order, so the
+// backends' session registries stay identical. Read traffic (analyze,
+// query) shards across backends by consistent hash, which is sound
+// because every answer is a pure function of (session state,
+// proposition): any backend serves the same bytes, the fleet cache tier
+// only changes who computes them.
 //
 // There is deliberately no failover: a request for a down backend's shard
 // is refused with 503 + Retry-After rather than silently re-homed, so a
-// partition degrades capacity, never placement determinism. A restarted
-// backend is caught up by replaying the session journal (rebuilding the
-// same IDs in the same order) and re-synchronizing quarantine state from
-// a live peer before it takes traffic again.
+// partition degrades capacity, never placement determinism. A backend
+// coming back is caught up against the router's live session set and its
+// up peers (catchUp: sessions deleted while it was away are dropped,
+// missing ones recreated under their IDs) and its quarantine state
+// re-synchronized from live peers before it takes traffic again.
 
 // RouterConfig configures a fleet front tier.
 type RouterConfig struct {
@@ -60,23 +66,27 @@ type RouterConfig struct {
 	// (0: 30s). If in-flight reads have not finished by then, the move
 	// rolls back to the old owner instead of wedging the fleet.
 	DrainTimeout time.Duration
-	// CacheDir, when non-empty, persists the router's session journal and
-	// session→loops map there on Close and loads them on boot, so a
-	// restarted router keeps its rejoin power: it can still replay the
-	// full mutation history into an empty backend. Validated with the
-	// same checksummed framing as the cache snapshots — a corrupt file
-	// degrades to the valid prefix (at worst a cold router), never a
-	// wrong replay. Membership changes are persisted too, so a restarted
-	// router serves the post-elasticity fleet, not the boot-time one.
+	// CacheDir, when non-empty, persists the router's live session set
+	// (each session's create body, create reply and hot loops) there on
+	// Close and loads it on boot, so a restarted router can still catch
+	// up an empty backend. Validated with the same checksummed framing as
+	// the cache snapshots — a corrupt file degrades to the valid prefix
+	// (at worst a router that knows fewer sessions), never a wrong
+	// replay. Membership changes are persisted too, so a restarted router
+	// serves the post-elasticity fleet, not the boot-time one. With or
+	// without it, a restarted router mints no ID a backend already holds.
 	CacheDir string
 }
 
 const defaultDrainTimeout = 30 * time.Second
 
-// routerJournalEntry is one replayable session mutation.
-type routerJournalEntry struct {
-	method, path string
-	body         []byte
+// liveSession is one session the fleet holds: the client's create body
+// (what a catch-up PUTs), the agreed create reply (what a backend's
+// listing of the session must equal byte for byte), and the hot loops an
+// analyze without a loop list fans out over. Immutable once stored.
+type liveSession struct {
+	body, reply []byte
+	loops       []string
 }
 
 // ProbeInfo is one down backend's prober state as exposed in /metrics:
@@ -139,11 +149,15 @@ type Router struct {
 	hc  *http.Client
 	mux *http.ServeMux
 
-	// bmu serializes session mutations, rejoins, and the fenced phase of
-	// membership moves: every backend sees creates and deletes in the
-	// same order, which is what keeps their sequential session-ID
-	// counters aligned.
-	bmu sync.Mutex
+	// bmu serializes session creates and deletes, catch-ups, and the
+	// fenced phase of membership moves: every backend sees creates and
+	// deletes in the same order, and a catch-up reads a live set that
+	// cannot move under it. It also guards the ID counter: lastID is the
+	// highest ID minted, seeded past every known ID before the first
+	// create after boot.
+	bmu    sync.Mutex
+	lastID int
+	seeded bool
 
 	// mu guards the mutable fleet view. Membership is live: join/leave
 	// rewrite ids/base/ring, and during a cutover nextRing carries the
@@ -158,9 +172,8 @@ type Router struct {
 	moveID   string // backend mid-join/mid-leave ("" when no move)
 	moveOp   string // "join" or "leave"
 	down     map[string]bool
-	probe    map[string]*probeState
-	sessions map[string][]string // session id -> hot loop names
-	journal  []routerJournalEntry
+	probe    map[string]probeState
+	sessions map[string]*liveSession // the live session set, by ID
 
 	rrNext                                           atomic.Uint64
 	proxied, fanouts, refused, inconsistent, rejoins atomic.Int64
@@ -184,8 +197,8 @@ func NewRouter(cfg RouterConfig) *Router {
 		hc:       &http.Client{Timeout: cfg.Timeout},
 		gen:      &readGen{},
 		down:     map[string]bool{},
-		probe:    map[string]*probeState{},
-		sessions: map[string][]string{},
+		probe:    map[string]probeState{},
+		sessions: map[string]*liveSession{},
 		stop:     make(chan struct{}),
 	}
 	for id, base := range cfg.Backends {
@@ -220,16 +233,11 @@ func NewRouter(cfg RouterConfig) *Router {
 	return rt
 }
 
-// routerJournalRecord / routerSessionRecord are the on-disk forms of
-// the router's replay state.
-type routerJournalRecord struct {
-	Method string `json:"method"`
-	Path   string `json:"path"`
-	Body   []byte `json:"body,omitempty"`
-}
-
+// routerSessionRecord is one live session on disk.
 type routerSessionRecord struct {
 	ID    string   `json:"id"`
+	Body  []byte   `json:"body"`
+	Reply []byte   `json:"reply"`
 	Loops []string `json:"loops"`
 }
 
@@ -248,32 +256,24 @@ func (rt *Router) persistPath() string {
 	return filepath.Join(rt.cfg.CacheDir, routerSnapFile)
 }
 
-// savePersist writes the journal and session map with the persist
-// framing (persist.WriteAtomic of a full re-encode — the journal is
-// small relative to cache shards, and a single atomic file keeps the
-// two structures consistent with each other).
+// savePersist writes the membership and the live session set with the
+// persist framing (persist.WriteAtomic of a full re-encode — the live set
+// is small relative to cache shards, and a single atomic file keeps the
+// two consistent with each other).
 func (rt *Router) savePersist() {
 	if err := os.MkdirAll(rt.cfg.CacheDir, 0o755); err != nil {
 		log.Printf("router: persist save: %v", err)
 		return
 	}
 	rt.mu.Lock()
-	records := make([]persist.Record, 0, len(rt.ids)+len(rt.journal)+len(rt.sessions))
+	records := make([]persist.Record, 0, len(rt.ids)+len(rt.sessions))
 	for _, id := range rt.ids {
 		p, _ := json.Marshal(routerMemberRecord{ID: id, URL: rt.base[id]})
 		records = append(records, persist.Record{Kind: persist.KindMembers, Payload: p})
 	}
-	for _, je := range rt.journal {
-		p, _ := json.Marshal(routerJournalRecord{Method: je.method, Path: je.path, Body: je.body})
-		records = append(records, persist.Record{Kind: persist.KindJournal, Payload: p})
-	}
-	sids := make([]string, 0, len(rt.sessions))
-	for sid := range rt.sessions {
-		sids = append(sids, sid)
-	}
-	sort.Strings(sids)
-	for _, sid := range sids {
-		p, _ := json.Marshal(routerSessionRecord{ID: sid, Loops: rt.sessions[sid]})
+	for _, sid := range rt.liveOrder() {
+		ls := rt.sessions[sid]
+		p, _ := json.Marshal(routerSessionRecord{ID: sid, Body: ls.body, Reply: ls.reply, Loops: ls.loops})
 		records = append(records, persist.Record{Kind: persist.KindSessions, Payload: p})
 	}
 	rt.mu.Unlock()
@@ -282,11 +282,13 @@ func (rt *Router) savePersist() {
 	}
 }
 
-// loadPersist restores the journal and session map from a prior
-// graceful Close. Corruption degrades to the valid prefix; since the
-// journal is replayed only into empty backends (rejoin), a short
-// journal can at worst fail a future rejoin's session-set check — it
-// cannot desynchronize a live fleet.
+// loadPersist restores the membership and the live session set from a
+// prior graceful Close. Corruption degrades to the valid prefix: a
+// session lost from the file is one the router no longer knows, never a
+// wrong one. Its backends keep serving it, and a catch-up keeps it where
+// the up peers list it the same way and refuses a backend that lacks it.
+// A snapshot from before router-minted IDs keeps its membership only (its
+// 'j' journal records stop the load).
 func (rt *Router) loadPersist() {
 	data, err := os.ReadFile(rt.persistPath())
 	if err != nil {
@@ -295,51 +297,42 @@ func (rt *Router) loadPersist() {
 	records, _ := persist.DecodeFile(data)
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	// Member records come first in the file; apply whatever complete set
-	// was read even if a later record stops the load (valid-prefix rule).
-	// The boot-time Backends map stays authoritative for the IDs it
-	// names (an operator restarting the router with fresh URLs must win);
-	// persisted records extend it with backends that joined live and were
-	// never in the flags. A snapshot from before elasticity has no member
-	// records and changes nothing.
-	members := map[string]string{}
-	defer func() {
-		grown := false
-		for id, u := range members {
-			if _, known := rt.base[id]; !known {
-				rt.ids = append(rt.ids, id)
-				rt.base[id] = u
-				grown = true
-			}
-		}
-		if grown {
-			sort.Strings(rt.ids)
-			rt.ring = fleet.NewRing(rt.ids, 0)
-		}
-	}()
+	// Member records come first in the file; those read before a record
+	// that stops the load still apply (valid-prefix rule). The boot-time
+	// Backends map stays authoritative for the IDs it names (an operator
+	// restarting the router with fresh URLs must win); persisted records
+	// extend it with backends that joined live and were never in the
+	// flags. A snapshot from before elasticity has no member records.
+	grown := false
+load:
 	for _, r := range records {
 		switch r.Kind {
 		case persist.KindMembers:
 			var mr routerMemberRecord
 			if err := json.Unmarshal(r.Payload, &mr); err != nil || mr.ID == "" || mr.URL == "" {
-				return
+				break load
 			}
-			members[mr.ID] = mr.URL
-		case persist.KindJournal:
-			var jr routerJournalRecord
-			if err := json.Unmarshal(r.Payload, &jr); err != nil {
-				return
+			if _, known := rt.base[mr.ID]; !known {
+				rt.ids = append(rt.ids, mr.ID)
+				rt.base[mr.ID] = mr.URL
+				grown = true
 			}
-			rt.journal = append(rt.journal, routerJournalEntry{method: jr.Method, path: jr.Path, body: jr.Body})
 		case persist.KindSessions:
 			var sr routerSessionRecord
-			if err := json.Unmarshal(r.Payload, &sr); err != nil {
-				return
+			if err := json.Unmarshal(r.Payload, &sr); err != nil || len(sr.Body) == 0 || len(sr.Reply) == 0 {
+				break load
 			}
-			rt.sessions[sr.ID] = sr.Loops
+			if _, ok := parseSessionID(sr.ID); !ok {
+				break load
+			}
+			rt.sessions[sr.ID] = &liveSession{body: sr.Body, reply: sr.Reply, loops: sr.Loops}
 		default:
-			return
+			break load
 		}
+	}
+	if grown {
+		sort.Strings(rt.ids)
+		rt.ring = fleet.NewRing(rt.ids, 0)
 	}
 }
 
@@ -347,7 +340,7 @@ func (rt *Router) loadPersist() {
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
 // Close stops the background prober, drops pooled backend connections,
-// and persists the session journal when a CacheDir is configured.
+// and persists the live session set when a CacheDir is configured.
 // Closing the pool matters for orderly teardown: a spare never-used
 // connection parked on a backend reads as StateNew there, and
 // http.Server.Shutdown only reaps those after a five-second grace.
@@ -414,8 +407,7 @@ func (rt *Router) probeDue(now time.Time) {
 		if !rt.down[id] {
 			continue
 		}
-		st := rt.probe[id]
-		if now.IsZero() || st == nil || !now.Before(st.next) {
+		if now.IsZero() || !now.Before(rt.probe[id].next) {
 			due = append(due, id)
 		}
 	}
@@ -425,12 +417,9 @@ func (rt *Router) probeDue(now time.Time) {
 		rt.mu.Lock()
 		if rt.down[id] {
 			st := rt.probe[id]
-			if st == nil {
-				st = &probeState{}
-				rt.probe[id] = st
-			}
 			st.fails++
 			st.next = time.Now().Add(rt.backoffDelay(id, st.fails))
+			rt.probe[id] = st
 		} else {
 			delete(rt.probe, id)
 		}
@@ -456,19 +445,7 @@ func (rt *Router) markDown(id string) {
 func (rt *Router) upIDs() []string {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	var up []string
-	for _, id := range rt.ids {
-		if !rt.down[id] {
-			up = append(up, id)
-		}
-	}
-	return up
-}
-
-// owner returns the session's home backend (mutations always go there,
-// so re-resolution work lands deterministically).
-func (rt *Router) owner(sid string) (string, *httpError) {
-	return rt.pick("s|" + sid)
+	return slices.DeleteFunc(slices.Clone(rt.ids), func(id string) bool { return rt.down[id] })
 }
 
 // pick returns the consistent-hash owner of a read keyed by key. A down
@@ -486,19 +463,11 @@ func (rt *Router) pick(key string) (string, *httpError) {
 		// of a move — the key is never served from two owners at once.
 		rt.moved503.Add(1)
 		rt.refused.Add(1)
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("segment owned by %s is moving; retry shortly", id)}}
-		he.retryAfter = "1"
-		return "", he
+		return "", errBackendDown("segment owned by %s is moving; retry shortly", id)
 	}
 	if down {
 		rt.refused.Add(1)
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("backend %s owns this shard and is down", id)}}
-		he.retryAfter = "1"
-		return "", he
+		return "", errBackendDown("backend %s owns this shard and is down", id)
 	}
 	return id, nil
 }
@@ -517,8 +486,13 @@ func (rt *Router) beginRead() *readGen {
 
 func (rt *Router) errNoBackends() *httpError {
 	rt.refused.Add(1)
-	he := &httpError{status: http.StatusServiceUnavailable,
-		detail: ErrorDetail{Code: "backend_down", Message: "no live backends"}}
+	return errBackendDown("no live backends")
+}
+
+// errBackendDown is the retryable 503 for a shard that cannot be served
+// now.
+func errBackendDown(format string, args ...any) *httpError {
+	he := moveErr(http.StatusServiceUnavailable, "backend_down", format, args...)
 	he.retryAfter = "1"
 	return he
 }
@@ -530,34 +504,40 @@ func (rt *Router) baseURL(id string) string {
 	return rt.base[id]
 }
 
-// send issues one backend request. A transport error marks the backend
-// down and is reported as (0, nil, nil).
+// send issues one client-facing backend request: probeSend, plus a
+// transport failure (status 0) marks the backend down.
 func (rt *Router) send(id, method, path string, body []byte) (int, http.Header, []byte) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, rt.baseURL(id)+path, rd)
-	if err != nil {
+	st, hdr, raw := rt.probeSend(id, method, path, body)
+	if st == 0 {
 		rt.markDown(id)
-		return 0, nil, nil
+	} else {
+		rt.proxied.Add(1)
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	return st, hdr, raw
+}
+
+// reply is one backend's answer to a request sendAll fanned out.
+type reply struct {
+	id     string
+	status int
+	hdr    http.Header
+	body   []byte
+}
+
+// sendAll sends body(i) to targets[i] for every i in parallel.
+func (rt *Router) sendAll(targets []string, method, path string, body func(i int) []byte) []reply {
+	out := make([]reply, len(targets))
+	var wg sync.WaitGroup
+	for i, id := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, hdr, b := rt.send(id, method, path, body(i))
+			out[i] = reply{id: id, status: st, hdr: hdr, body: b}
+		}()
 	}
-	resp, err := rt.hc.Do(req)
-	if err != nil {
-		rt.markDown(id)
-		return 0, nil, nil
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxPeerResponse))
-	if err != nil {
-		rt.markDown(id)
-		return 0, nil, nil
-	}
-	rt.proxied.Add(1)
-	return resp.StatusCode, resp.Header, raw
+	wg.Wait()
+	return out
 }
 
 const maxPeerResponse = 64 << 20
@@ -566,11 +546,7 @@ const maxPeerResponse = 64 << 20
 // failure) becomes a 503.
 func (rt *Router) relay(w http.ResponseWriter, id string, status int, hdr http.Header, body []byte) {
 	if status == 0 {
-		he := &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "backend_down",
-				Message: fmt.Sprintf("backend %s did not answer", id)}}
-		he.retryAfter = "1"
-		writeError(w, he)
+		writeError(w, errBackendDown("backend %s did not answer", id))
 		return
 	}
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -603,28 +579,11 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 	if len(up) == 0 {
 		return 0, nil, nil, rt.errNoBackends()
 	}
-	type reply struct {
-		id     string
-		status int
-		hdr    http.Header
-		body   []byte
-	}
-	replies := make([]reply, len(up))
-	var wg sync.WaitGroup
-	for i, id := range up {
-		wg.Add(1)
-		go func(i int, id string) {
-			defer wg.Done()
-			st, hdr, b := rt.send(id, method, path, body)
-			replies[i] = reply{id: id, status: st, hdr: hdr, body: b}
-		}(i, id)
-	}
-	wg.Wait()
-
+	replies := rt.sendAll(up, method, path, func(int) []byte { return body })
 	first := -1
 	for i, rp := range replies {
 		if rp.status == 0 {
-			// Died mid-broadcast: the journal replay at rejoin restores it.
+			// Died mid-broadcast: the catch-up at rejoin restores it.
 			continue
 		}
 		if first < 0 {
@@ -646,39 +605,79 @@ func (rt *Router) broadcast(method, path string, body []byte) (int, http.Header,
 	return replies[first].status, replies[first].hdr, replies[first].body, nil
 }
 
+// handleCreate mints the next session ID and broadcasts the create, with
+// the client's body unchanged, as PUT /sessions/{id}. A single scaf-serve
+// mints an ID for every create that decodes, failed builds included, so
+// the router burns one on the same attempts: a body that does not decode
+// is refused here, and a create no backend answered, or every backend
+// shed before building (429, 503), hands its ID back. A create the
+// backends disagree on (502 fleet_inconsistent) keeps it burned: some of
+// them built it. Only a successful create enters the live set.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
 		return
 	}
-	rt.bmu.Lock()
-	defer rt.bmu.Unlock()
-
-	status, hdr, resp, he := rt.broadcast(http.MethodPost, "/sessions", body)
-	if he != nil {
+	if he := decodeStrict(bytes.NewReader(body), &CreateSessionRequest{}); he != nil {
 		writeError(w, he)
 		return
 	}
-	// Journal every create, including failed ones: a rejected create still
-	// consumed a session-ID counter slot on the live backends, and replay
-	// must reproduce that on a restarted one.
-	rt.mu.Lock()
-	rt.journal = append(rt.journal, routerJournalEntry{method: http.MethodPost, path: "/sessions", body: body})
-	rt.mu.Unlock()
+	rt.bmu.Lock()
+	defer rt.bmu.Unlock()
+	if !rt.seeded {
+		rt.seedIDs()
+	}
+	rt.lastID++
+	sid := "s" + strconv.Itoa(rt.lastID)
 
-	if status == http.StatusCreated {
-		var info SessionInfo
-		if err := json.Unmarshal(resp, &info); err == nil && info.ID != "" {
-			loops := make([]string, 0, len(info.HotLoops))
-			for _, l := range info.HotLoops {
-				loops = append(loops, l.Name)
-			}
-			rt.mu.Lock()
-			rt.sessions[info.ID] = loops
-			rt.mu.Unlock()
+	status, hdr, resp, he := rt.broadcast(http.MethodPut, "/sessions/"+sid, body)
+	if he != nil {
+		if he.status == http.StatusServiceUnavailable {
+			rt.lastID--
 		}
+		writeError(w, he)
+		return
+	}
+	switch status {
+	case http.StatusCreated:
+		var info SessionInfo
+		_ = json.Unmarshal(resp, &info)
+		ls := &liveSession{body: body, reply: resp, loops: make([]string, 0, len(info.HotLoops))}
+		for _, l := range info.HotLoops {
+			ls.loops = append(ls.loops, l.Name)
+		}
+		rt.mu.Lock()
+		rt.sessions[sid] = ls
+		rt.mu.Unlock()
+	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		rt.lastID--
 	}
 	rt.relay(w, "", status, hdr, resp)
+}
+
+// seedIDs moves the ID counter past every ID in the live set and on every
+// up backend, so a router restarted with or without a CacheDir never
+// mints an ID a backend already holds. Called under bmu, once.
+func (rt *Router) seedIDs() {
+	rt.mu.Lock()
+	ids := rt.liveOrder()
+	rt.mu.Unlock()
+	for _, id := range rt.upIDs() {
+		var have []SessionInfo
+		st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
+		if st == 0 {
+			rt.markDown(id)
+		} else if st == http.StatusOK && json.Unmarshal(body, &have) == nil {
+			for _, info := range have {
+				ids = append(ids, info.ID)
+			}
+		}
+	}
+	for _, sid := range ids {
+		n, _ := parseSessionID(sid)
+		rt.lastID = max(rt.lastID, n)
+	}
+	rt.seeded = true
 }
 
 func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -693,7 +692,6 @@ func (rt *Router) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.mu.Lock()
-	rt.journal = append(rt.journal, routerJournalEntry{method: http.MethodDelete, path: path})
 	delete(rt.sessions, sid)
 	rt.mu.Unlock()
 	rt.relay(w, "", status, hdr, resp)
@@ -724,13 +722,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Lenient decode for the routing key only; the backend enforces the
 	// strict schema and produces the deterministic error if it is bad.
 	_ = json.Unmarshal(body, &req)
-	id, he := rt.pick("q|" + sid + "|" + req.Scheme + "|" + req.Loop + "|" + req.I1 + "|" + req.I2 + "|" + req.Rel)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
-	st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
-	rt.relay(w, id, st, hdr, resp)
+	rt.forward(w, r, "q|"+sid+"|"+req.Scheme+"|"+req.Loop+"|"+req.I1+"|"+req.I2+"|"+req.Rel, body)
 }
 
 func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
@@ -741,7 +733,14 @@ func (rt *Router) handleMutation(w http.ResponseWriter, r *http.Request) {
 	}
 	g := rt.beginRead()
 	defer g.wg.Done()
-	id, he := rt.owner(sid)
+	rt.forward(w, r, "s|"+sid, body)
+}
+
+// forward sends the request to the consistent-hash owner of key and
+// relays the answer. Session-scoped work keys on "s|"+sid, the session's
+// home backend, so re-resolution lands deterministically.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+	id, he := rt.pick(key)
 	if he != nil {
 		writeError(w, he)
 		return
@@ -776,32 +775,22 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if err := json.Unmarshal(body, &req); err != nil {
 		// Forward undecodable bodies to one backend for its strict,
 		// deterministic 400.
-		id, he := rt.owner(sid)
-		if he != nil {
-			writeError(w, he)
-			return
-		}
-		st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
-		rt.relay(w, id, st, hdr, resp)
+		rt.forward(w, r, "s|"+sid, body)
 		return
 	}
 
 	loops := req.Loops
 	if len(loops) == 0 {
 		rt.mu.Lock()
-		loops = append([]string(nil), rt.sessions[sid]...)
+		if ls := rt.sessions[sid]; ls != nil {
+			loops = ls.loops
+		}
 		rt.mu.Unlock()
 	}
 	if len(loops) == 0 {
 		// Unknown session or a session with no hot loops: one backend
 		// produces the deterministic answer (404, or an empty batch).
-		id, he := rt.owner(sid)
-		if he != nil {
-			writeError(w, he)
-			return
-		}
-		st, hdr, resp := rt.send(id, http.MethodPost, r.URL.Path, body)
-		rt.relay(w, id, st, hdr, resp)
+		rt.forward(w, r, "s|"+sid, body)
 		return
 	}
 
@@ -817,27 +806,10 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		targets[i] = id
 	}
 	rt.fanouts.Add(1)
-
-	type part struct {
-		id     string
-		status int
-		hdr    http.Header
-		body   []byte
-	}
-	parts := make([]part, len(loops))
-	var wg sync.WaitGroup
-	for i := range loops {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub, _ := json.Marshal(AnalyzeRequest{
-				Scheme: req.Scheme, Loops: loops[i : i+1], DeadlineMS: req.DeadlineMS,
-			})
-			st, hdr, b := rt.send(targets[i], http.MethodPost, r.URL.Path, sub)
-			parts[i] = part{id: targets[i], status: st, hdr: hdr, body: b}
-		}(i)
-	}
-	wg.Wait()
+	parts := rt.sendAll(targets, http.MethodPost, r.URL.Path, func(i int) []byte {
+		sub, _ := json.Marshal(AnalyzeRequest{Scheme: req.Scheme, Loops: loops[i : i+1], DeadlineMS: req.DeadlineMS})
+		return sub
+	})
 
 	merged := routerAnalyzeResponse{}
 	for _, p := range parts {
@@ -866,37 +838,28 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // ---- aggregate endpoints ----
 
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	h := RouterHealth{Backends: map[string]string{}}
+	h := RouterHealth{Backends: map[string]string{}, Status: "degraded"}
 	upCount := 0
-	rt.mu.Lock()
-	members := append([]string(nil), rt.ids...)
-	rt.mu.Unlock()
-	for _, id := range members {
-		if rt.isDown(id) {
-			h.Backends[id] = "down"
-			continue
-		}
+	for _, id := range rt.upIDs() {
 		if st, _, _ := rt.send(id, http.MethodGet, "/healthz", nil); st == http.StatusOK {
 			h.Backends[id] = "ok"
 			upCount++
-		} else {
-			h.Backends[id] = "down"
 		}
 	}
 	rt.mu.Lock()
+	for _, id := range rt.ids {
+		if h.Backends[id] == "" {
+			h.Backends[id] = "down"
+		}
+	}
 	h.Sessions = len(rt.sessions)
 	rt.mu.Unlock()
-	switch {
-	case upCount == len(members):
-		h.Status = "ok"
-	case upCount > 0:
-		h.Status = "degraded"
-	default:
-		h.Status = "down"
-	}
 	status := http.StatusOK
-	if upCount == 0 {
-		status = http.StatusServiceUnavailable
+	switch {
+	case upCount == len(h.Backends):
+		h.Status = "ok"
+	case upCount == 0:
+		h.Status, status = "down", http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, h)
 }
@@ -909,13 +872,8 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	rt.mu.Lock()
-	var downIDs []string
-	for _, id := range rt.ids {
-		if rt.down[id] {
-			downIDs = append(downIDs, id)
-		}
-	}
-	members := append([]string(nil), rt.ids...)
+	downIDs := slices.DeleteFunc(slices.Clone(rt.ids), func(id string) bool { return !rt.down[id] })
+	members := slices.Clone(rt.ids)
 	pending := rt.moveID
 	var probes map[string]ProbeInfo
 	if len(rt.probe) > 0 {
@@ -952,60 +910,20 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- rejoin ----
 
-// Probe re-checks every down backend and rejoins the ones that answer:
-// a restarted (empty) backend gets the session journal replayed — the
-// same mutations in the same order rebuild the same session IDs — and its
-// quarantine state re-synchronized from a live peer; a backend that was
-// only unreachable (state intact) is simply marked up. A backend whose
-// session registry matches neither is left down: its state cannot be
-// reconciled without operator intervention.
+// Probe re-checks every down backend and rejoins the ones that answer and
+// can be caught up (catchUp). A backend holding a live ID with different
+// contents, or a session its up peers do not hold the same way, is left
+// down: its state cannot be reconciled without operator intervention.
 func (rt *Router) Probe() {
 	rt.probeDue(time.Time{})
 }
 
 func (rt *Router) tryRejoin(id string) {
-	// Serialize against mutations: the journal must not grow mid-replay.
 	rt.bmu.Lock()
 	defer rt.bmu.Unlock()
-
-	if st, _, _ := rt.probeSend(id, http.MethodGet, "/healthz", nil); st != http.StatusOK {
-		return
+	if _, _, he := rt.catchUp(id, func(string) bool { return true }); he != nil {
+		return // unreachable, irreconcilable, or died mid-catch-up; next probe retries
 	}
-	st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
-	if st != http.StatusOK {
-		return
-	}
-	var have []SessionInfo
-	if err := json.Unmarshal(body, &have); err != nil {
-		return
-	}
-
-	rt.mu.Lock()
-	want := make(map[string]bool, len(rt.sessions))
-	for sid := range rt.sessions {
-		want[sid] = true
-	}
-	journal := append([]routerJournalEntry(nil), rt.journal...)
-	rt.mu.Unlock()
-
-	switch {
-	case len(have) == 0 && len(journal) > 0:
-		// Fresh restart: replay the journal to rebuild the registry with
-		// the same session-ID sequence.
-		for _, e := range journal {
-			if st, _, _ := rt.probeSend(id, e.method, e.path, e.body); st == 0 {
-				return // died again mid-replay; next probe retries from scratch
-			}
-		}
-		if !rt.syncQuarantine(id, want) {
-			return
-		}
-	case matchesSessionSet(have, want):
-		// Transient unreachability: state intact, nothing to replay.
-	default:
-		return
-	}
-
 	rt.mu.Lock()
 	delete(rt.down, id)
 	rt.mu.Unlock()
@@ -1014,6 +932,132 @@ func (rt *Router) tryRejoin(id string) {
 	// it may have been away across a join or leave and its cache tier's
 	// peer set would otherwise still reflect the old fleet.
 	rt.pushMembers(id)
+}
+
+// catchUp brings backend id to the fleet's session set (a rejoin, and
+// both phases of a join) and returns the IDs it then holds and how many
+// sessions it recreated. It lists the backend and every up peer; refuses
+// (409 joiner_state) a live ID that does not list as its stored create
+// reply; settles each non-live ID by the peers, since the router cannot
+// tell a missed delete from a session it never learned of (a restart
+// without its snapshot): kept if a peer lists the same bytes, deleted if
+// no peer lists it, drop allows it and some peer answered, else refused,
+// as is a non-live ID a peer holds and the backend lacks (no body to
+// recreate it from); PUTs the missing live sessions in creation order;
+// re-syncs quarantine. drop is nil on a joiner's unfenced first pass: it
+// deletes nothing and, bmu not held, lets a peer list a create in flight.
+func (rt *Router) catchUp(id string, drop func(sid string) bool) (map[string]bool, int, *httpError) {
+	failed := func(format string, args ...any) (map[string]bool, int, *httpError) {
+		return nil, 0, moveErr(http.StatusBadGateway, "join_failed", format, args...)
+	}
+	refuse := func(format string, args ...any) (map[string]bool, int, *httpError) {
+		return nil, 0, moveErr(http.StatusConflict, "joiner_state", format, args...)
+	}
+	have, st := rt.listSessions(id)
+	if st != http.StatusOK {
+		return failed("backend %s cannot list its sessions", id)
+	}
+	peers, answered := map[string][]byte{}, 0
+	for _, p := range rt.upIDs() {
+		if p == id {
+			continue
+		}
+		list, st := rt.listSessions(p)
+		switch {
+		case st == 0:
+			rt.markDown(p) // its own rejoin reconciles it
+			continue
+		case st != http.StatusOK:
+			return failed("peer %s cannot list its sessions", p)
+		}
+		answered++
+		for sid, raw := range list {
+			peers[sid] = raw
+		}
+	}
+	rt.mu.Lock()
+	order, live := rt.liveOrder(), maps.Clone(rt.sessions)
+	rt.mu.Unlock()
+
+	held := map[string]bool{}
+	var stale []string
+	for sid, raw := range have {
+		peer, onPeer := peers[sid]
+		switch ls := live[sid]; {
+		case ls != nil && !bytes.Equal(raw, bytes.TrimSuffix(ls.reply, []byte("\n"))):
+			return refuse("backend %s holds session %s with different contents; restart it empty", id, sid)
+		case ls != nil, onPeer && bytes.Equal(raw, peer):
+			held[sid] = true
+		case !onPeer && answered > 0 && drop != nil && drop(sid):
+			stale = append(stale, sid)
+		default:
+			return refuse("backend %s holds session %s that the fleet does not; restart it empty", id, sid)
+		}
+	}
+	for sid := range peers {
+		if drop != nil && live[sid] == nil && !held[sid] {
+			return refuse("members hold session %s, which the router cannot recreate on backend %s", sid, id)
+		}
+	}
+	sort.Strings(stale)
+	for _, sid := range stale {
+		if st, _, _ := rt.probeSend(id, http.MethodDelete, "/sessions/"+sid, nil); st != http.StatusNoContent {
+			return failed("backend %s did not delete stale session %s", id, sid)
+		}
+	}
+	created := 0
+	for _, sid := range order {
+		if held[sid] {
+			continue
+		}
+		ls := live[sid]
+		if st, _, resp := rt.probeSend(id, http.MethodPut, "/sessions/"+sid, ls.body); st != http.StatusCreated || !bytes.Equal(resp, ls.reply) {
+			return failed("backend %s did not recreate session %s", id, sid)
+		}
+		held[sid] = true
+		created++
+	}
+	if !rt.syncQuarantine(id, held) {
+		return failed("quarantine sync to backend %s failed", id)
+	}
+	return held, created, nil
+}
+
+// listSessions reads one backend's GET /sessions as ID -> listing entry,
+// with the reply status (0: no answer; 502 for a listing that does not
+// decode).
+func (rt *Router) listSessions(id string) (map[string][]byte, int) {
+	st, _, body := rt.probeSend(id, http.MethodGet, "/sessions", nil)
+	var raws []json.RawMessage
+	if st != http.StatusOK {
+		return nil, st
+	}
+	if json.Unmarshal(body, &raws) != nil {
+		return nil, http.StatusBadGateway
+	}
+	out := make(map[string][]byte, len(raws))
+	for _, raw := range raws {
+		var info struct {
+			ID string `json:"id"`
+		}
+		_ = json.Unmarshal(raw, &info)
+		out[info.ID] = raw
+	}
+	return out, st
+}
+
+// liveOrder returns the live session IDs in creation order, which is ID
+// order: the router mints them increasing, and canonical s<n> IDs compare
+// by length, then bytes. Caller holds mu.
+func (rt *Router) liveOrder() []string {
+	ids := make([]string, 0, len(rt.sessions))
+	for sid := range rt.sessions {
+		ids = append(ids, sid)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		return len(ids[i]) < len(ids[j]) || len(ids[i]) == len(ids[j]) && ids[i] < ids[j]
+	})
+	return ids
 }
 
 // pushMembers sends the full membership map to one backend's cache-tier
@@ -1030,18 +1074,6 @@ func (rt *Router) pushMembers(id string) {
 	rt.probeSend(id, http.MethodPost, "/fleet/members", b)
 }
 
-func matchesSessionSet(have []SessionInfo, want map[string]bool) bool {
-	if len(have) != len(want) {
-		return false
-	}
-	for _, info := range have {
-		if !want[info.ID] {
-			return false
-		}
-	}
-	return true
-}
-
 // syncQuarantine replays quarantine state onto a rejoined or joining
 // backend, merged across every live peer's /metrics: quarantine is
 // monotone, so the union over peers is always a safe target state, and
@@ -1053,7 +1085,7 @@ func matchesSessionSet(have []SessionInfo, want map[string]bool) bool {
 // backend was away. At least one peer must answer; peers that do not
 // are skipped (their state is a subset of the union by monotonicity or
 // they are dying, and a dying peer must not block recovery).
-func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
+func (rt *Router) syncQuarantine(id string, held map[string]bool) bool {
 	up := rt.upIDs()
 	if len(up) == 0 {
 		return true // nobody to sync from; the empty fleet has no quarantine
@@ -1071,7 +1103,7 @@ func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
 		}
 		answered++
 		for sid, sm := range m.Sessions {
-			if !sessions[sid] || sm.Quarantine == nil {
+			if !held[sid] || sm.Quarantine == nil {
 				continue
 			}
 			perSession[sid] = append(perSession[sid], sm.Quarantine)
@@ -1098,8 +1130,9 @@ func (rt *Router) syncQuarantine(id string, sessions map[string]bool) bool {
 	return true
 }
 
-// probeSend is send without the down-marking side effect: probe and
-// replay traffic to a backend that is already down must not churn state.
+// probeSend issues one backend request; a transport error is status 0.
+// Probe, catch-up and move traffic use it directly: a backend that is
+// already down, or not yet a member, must not churn the down set.
 func (rt *Router) probeSend(id, method, path string, body []byte) (int, http.Header, []byte) {
 	var rd io.Reader
 	if body != nil {

@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
+
+	"scaf/internal/persist"
 )
 
 // startHarness boots an in-process fleet that is torn down at cleanup.
@@ -139,13 +142,15 @@ func TestRouterByteIdentity(t *testing.T) {
 }
 
 // TestRouterFleetInconsistency: backends whose replicated state has
-// drifted (here: a session created behind the router's back skews one
-// backend's session-ID counter) must surface as 502 fleet_inconsistent on
-// the next broadcast, never as silently divergent state.
+// drifted (here: a session created behind the router's back takes, on one
+// backend, the ID the router mints next) must surface as 502
+// fleet_inconsistent on the next broadcast, never as silently divergent
+// state.
 func TestRouterFleetInconsistency(t *testing.T) {
 	h := startHarness(t, HarnessConfig{Members: 2})
 
 	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	createSession(t, h.URL, req) // the router's counter is seeded from here on
 	if st, raw := do(t, h.Members[0].URL, "POST", "/sessions", req); st != http.StatusCreated {
 		t.Fatalf("direct create: %d %s", st, raw)
 	}
@@ -161,7 +166,7 @@ func TestRouterFleetInconsistency(t *testing.T) {
 
 // TestRouterBackendLossAndRejoin: killing a backend mid-service refuses
 // exactly its shard (503 + Retry-After) while the other keeps answering;
-// after a restart the router replays the session journal (same IDs,
+// after a restart the router catches it up with the live sessions (same IDs,
 // including sessions created during the outage) and re-syncs quarantine
 // state, and the rejoined backend serves byte-identical answers.
 func TestRouterBackendLossAndRejoin(t *testing.T) {
@@ -221,7 +226,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	}
 
 	// Mutations during the outage: a new session is created on the
-	// surviving backend and journaled for the dead one.
+	// surviving backend and recreated on the dead one at rejoin.
 	info2 := createSession(t, h.URL, CreateSessionRequest{Name: "small2", Source: smallSource, Plan: "off"})
 
 	// A violation reported during the outage must reach b1 at rejoin. The
@@ -237,7 +242,7 @@ func TestRouterBackendLossAndRejoin(t *testing.T) {
 	}
 	_, wantQAafter := do(t, bA.URL, "POST", "/sessions/"+info.ID+"/query", *qA)
 
-	// Restart b1 and rejoin: journal replay + quarantine sync.
+	// Restart b1 and rejoin: live-set catch-up + quarantine sync.
 	if err := bB.Restart(); err != nil {
 		t.Fatal(err)
 	}
@@ -288,4 +293,315 @@ func mustJSON(t *testing.T, v any) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// listSessions returns a backend's raw GET /sessions body.
+func listSessions(t *testing.T, base string) []byte {
+	t.Helper()
+	st, raw := do(t, base, "GET", "/sessions", nil)
+	if st != http.StatusOK {
+		t.Fatalf("list sessions: %d %s", st, raw)
+	}
+	return raw
+}
+
+// TestRouterRejoinReplaysLiveSessionsOnly: the router mints one ID per
+// create attempt, failed ones included, exactly as a single instance
+// does; and a backend restarted empty after 50 create/delete cycles and
+// one failed create is caught up with the 2 live sessions only — under
+// their IDs, in the survivor's order, answering the same bytes.
+func TestRouterRejoinReplaysLiveSessionsOnly(t *testing.T) {
+	h := startHarness(t, HarnessConfig{Members: 2})
+	_, ref := newTestServer(t, Config{})
+	rt, b0, b1 := h.Router, h.Members[0], h.Members[1]
+
+	// create sends one create to the fleet and to the reference; the
+	// replies (minted IDs included) must be byte-identical.
+	create := func(req CreateSessionRequest) (int, []byte) {
+		t.Helper()
+		refSt, refRaw := do(t, ref.URL, "POST", "/sessions", req)
+		st, raw := do(t, h.URL, "POST", "/sessions", req)
+		if st != refSt || !bytes.Equal(raw, refRaw) {
+			t.Fatalf("create diverged from a single instance: %d %s vs %d %s", st, raw, refSt, refRaw)
+		}
+		return st, raw
+	}
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	for i := 0; i < 50; i++ {
+		_, raw := create(req)
+		if st, _ := do(t, h.URL, "DELETE", "/sessions/"+decode[SessionInfo](t, raw).ID, nil); st != http.StatusNoContent {
+			t.Fatalf("delete %d: status %d", i, st)
+		}
+	}
+	if st, _ := create(CreateSessionRequest{Name: "broken", Source: "int main( {"}); st != http.StatusUnprocessableEntity {
+		t.Fatalf("failed create: status %d", st)
+	}
+	var live []SessionInfo
+	for i := 0; i < 2; i++ {
+		_, raw := create(req)
+		live = append(live, decode[SessionInfo](t, raw))
+	}
+	if live[0].ID != "s52" || live[1].ID != "s53" {
+		t.Fatalf("live IDs %s %s, want s52 s53", live[0].ID, live[1].ID)
+	}
+
+	b1.Kill()
+	if err := b1.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	rt.markDown("b1")
+	rt.Probe()
+	if rt.isDown("b1") {
+		t.Fatal("restarted backend did not rejoin")
+	}
+	// Creates are the only admitted requests a catch-up without quarantine
+	// sends, so the fresh backend's accepted count is its create count.
+	_, mraw := do(t, b1.URL, "GET", "/metrics", nil)
+	if m := decode[MetricsResponse](t, mraw); m.Server.Accepted != 2 {
+		t.Fatalf("rejoin sent %d creates, want 2 (the live sessions)", m.Server.Accepted)
+	}
+	if got, want := listSessions(t, b1.URL), listSessions(t, b0.URL); !bytes.Equal(got, want) {
+		t.Fatalf("rejoined registry differs from the survivor's:\ngot  %s\nwant %s", got, want)
+	}
+	for _, info := range live {
+		if got, want := analyzeJSON(t, b1.URL, info.ID), analyzeJSON(t, b0.URL, info.ID); !bytes.Equal(got, want) {
+			t.Fatalf("rejoined backend answers %s differently", info.ID)
+		}
+	}
+}
+
+// TestRouterRejoinAppliesMissedMutations: a backend marked down while its
+// state is intact misses one create and one delete; the next probe must
+// catch it up with both and bring it back.
+func TestRouterRejoinAppliesMissedMutations(t *testing.T) {
+	h := startHarness(t, HarnessConfig{Members: 2})
+	rt := h.Router
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	gone := createSession(t, h.URL, req)
+	createSession(t, h.URL, req)
+
+	rt.markDown("b1")
+	createSession(t, h.URL, req)
+	if st, _ := do(t, h.URL, "DELETE", "/sessions/"+gone.ID, nil); st != http.StatusNoContent {
+		t.Fatalf("delete: status %d", st)
+	}
+	rt.Probe()
+	if rt.isDown("b1") {
+		t.Fatal("backend with missed mutations stayed down")
+	}
+	if got, want := listSessions(t, h.Members[1].URL), listSessions(t, h.Members[0].URL); !bytes.Equal(got, want) {
+		t.Fatalf("rejoined registry differs:\ngot  %s\nwant %s", got, want)
+	}
+}
+
+// TestRouterRejoinRefusesDivergentSession: a backend holding a live ID
+// whose contents differ from the create the fleet agreed on is never
+// brought back by a rejoin, and never admitted by a join.
+func TestRouterRejoinRefusesDivergentSession(t *testing.T) {
+	h := startHarness(t, HarnessConfig{Members: 2, Spares: 1})
+	rt, b1, spare := h.Router, h.Members[1], h.Spares[0]
+	info := createSession(t, h.URL, CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"})
+	other := CreateSessionRequest{Name: "other", Source: smallSource, Plan: "off"}
+
+	b1.Kill()
+	if err := b1.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if st, raw := do(t, b1.URL, "PUT", "/sessions/"+info.ID, other); st != http.StatusCreated {
+		t.Fatalf("direct PUT: %d %s", st, raw)
+	}
+	rt.markDown("b1")
+	rt.Probe()
+	if !rt.isDown("b1") || rt.rejoins.Load() != 0 {
+		t.Fatal("backend with a divergent live session rejoined")
+	}
+
+	if st, raw := do(t, spare.URL, "PUT", "/sessions/"+info.ID, other); st != http.StatusCreated {
+		t.Fatalf("direct PUT: %d %s", st, raw)
+	}
+	st, raw := do(t, h.URL, "POST", "/fleet/join", JoinRequest{ID: "j0", URL: spare.URL})
+	if st != http.StatusConflict {
+		t.Fatalf("join of a divergent backend: %d %s", st, raw)
+	}
+	if e := decode[ErrorResponse](t, raw); e.Error.Code != "joiner_state" {
+		t.Fatalf("code %q, want joiner_state", e.Error.Code)
+	}
+}
+
+// TestRouterRestartMintsNoCollidingID: a router restarted over a live
+// fleet, with its snapshot directory or without one, mints the next ID
+// past every ID the backends hold.
+func TestRouterRestartMintsNoCollidingID(t *testing.T) {
+	for _, durable := range []bool{true, false} {
+		t.Run(fmt.Sprintf("cache-dir=%v", durable), func(t *testing.T) {
+			dir := t.TempDir()
+			h := startHarness(t, HarnessConfig{Members: 2, RouterCacheDir: dir})
+			req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+			createSession(t, h.URL, req)
+			createSession(t, h.URL, req)
+			h.Router.Close()
+
+			cfg := RouterConfig{Backends: map[string]string{"b0": h.Members[0].URL, "b1": h.Members[1].URL}}
+			if durable {
+				cfg.CacheDir = dir
+			}
+			rt2 := NewRouter(cfg)
+			defer rt2.Close()
+			rts := httptest.NewServer(rt2.Handler())
+			defer rts.Close()
+
+			st, raw := do(t, rts.URL, "POST", "/sessions", req)
+			if st != http.StatusCreated {
+				t.Fatalf("create through the restarted router: %d %s", st, raw)
+			}
+			if id := decode[SessionInfo](t, raw).ID; id != "s3" {
+				t.Fatalf("restarted router minted %s, want s3", id)
+			}
+			if got, want := listSessions(t, h.Members[1].URL), listSessions(t, h.Members[0].URL); !bytes.Equal(got, want) {
+				t.Fatalf("backends diverged:\n%s\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestRouterPutSession pins the backend's router-facing create: PUT
+// /sessions/s<n> creates under that ID and moves the instance's own
+// counter past it, a malformed ID is 400 and an existing one 409.
+func TestRouterPutSession(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	for _, id := range []string{"x1", "s", "s0", "s01", "s-1", "s+1", "s1x", "s99999999999"} {
+		if st, raw := do(t, ts.URL, "PUT", "/sessions/"+id, req); st != http.StatusBadRequest {
+			t.Errorf("PUT %s: status %d, want 400 (%s)", id, st, raw)
+		}
+	}
+	st, raw := do(t, ts.URL, "PUT", "/sessions/s5", req)
+	if st != http.StatusCreated || decode[SessionInfo](t, raw).ID != "s5" {
+		t.Fatalf("PUT s5: %d %s", st, raw)
+	}
+	if info := createSession(t, ts.URL, req); info.ID != "s6" {
+		t.Fatalf("POST after PUT s5 minted %s, want s6", info.ID)
+	}
+	// An existing ID is refused before the build: a body that would fail
+	// to compile still gets 409, not 422.
+	for _, body := range []CreateSessionRequest{req, {Name: "broken", Source: "int main( {"}} {
+		st, raw = do(t, ts.URL, "PUT", "/sessions/s5", body)
+		if st != http.StatusConflict {
+			t.Fatalf("PUT of an existing ID: %d %s", st, raw)
+		}
+		if e := decode[ErrorResponse](t, raw); e.Error.Code != "session_exists" {
+			t.Fatalf("code %q, want session_exists", e.Error.Code)
+		}
+	}
+}
+
+// TestRouterCreateIDAccounting: seeding the ID counter is router-internal
+// traffic (not counted as proxied), and a create no backend answered
+// hands its ID back, so the router's IDs stay those a single instance
+// mints.
+func TestRouterCreateIDAccounting(t *testing.T) {
+	h := startHarness(t, HarnessConfig{Members: 2})
+	rt := h.Router
+	req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+	createSession(t, h.URL, req)
+	if p := rt.proxied.Load(); p != 2 {
+		t.Fatalf("first create proxied %d requests, want 2 (one PUT per backend)", p)
+	}
+	rt.markDown("b0")
+	rt.markDown("b1")
+	if st, raw := do(t, h.URL, "POST", "/sessions", req); st != http.StatusServiceUnavailable {
+		t.Fatalf("create with no backend up: %d %s", st, raw)
+	}
+	rt.Probe()
+	if info := createSession(t, h.URL, req); info.ID != "s2" {
+		t.Fatalf("create after a refused one minted %s, want s2", info.ID)
+	}
+}
+
+// restartRouter replaces the harness router's process state: a new Router
+// over the same backends (and cfg's CacheDir), served on a fresh listener.
+func restartRouter(t *testing.T, h *Harness, cfg RouterConfig) (*Router, string) {
+	t.Helper()
+	h.Router.Close()
+	if cfg.Backends == nil {
+		cfg.Backends = map[string]string{"b0": h.Members[0].URL, "b1": h.Members[1].URL}
+	}
+	rt := NewRouter(cfg)
+	t.Cleanup(rt.Close)
+	ts := httptest.NewServer(rt.Handler())
+	t.Cleanup(ts.Close)
+	return rt, ts.URL
+}
+
+// TestRouterRestartKeepsUnknownSessions: a router that lost its live set
+// — restarted without a cache directory, or over a router.snap written
+// before router-minted IDs, whose journal records stop the load — never
+// deletes a session the fleet still holds. A backend whose sessions its
+// up peers hold the same way rejoins with them intact; one that lacks
+// them stays down, so no member answers 404 where another answers 200.
+func TestRouterRestartKeepsUnknownSessions(t *testing.T) {
+	oldSnap := func(t *testing.T, h *Harness, dir string, req CreateSessionRequest) {
+		t.Helper()
+		var records []persist.Record
+		for i, m := range h.Members {
+			records = append(records, persist.Record{Kind: persist.KindMembers,
+				Payload: mustJSON(t, map[string]string{"id": fmt.Sprintf("b%d", i), "url": m.URL})})
+		}
+		// 'j' was the journal record kind; 's' records carried loops only.
+		records = append(records,
+			persist.Record{Kind: 'j', Payload: mustJSON(t, map[string]any{"method": "POST", "path": "/sessions", "body": mustJSON(t, req)})},
+			persist.Record{Kind: persist.KindSessions, Payload: mustJSON(t, map[string]any{"id": "s1", "loops": []string{}})})
+		if err := persist.WriteAtomic(dir, routerSnapFile, persist.EncodeFile(records)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, mode := range []string{"no-cache-dir", "old-snapshot"} {
+		t.Run(mode, func(t *testing.T) {
+			h := startHarness(t, HarnessConfig{Members: 2})
+			req := CreateSessionRequest{Name: "small", Source: smallSource, Plan: "off"}
+			info := createSession(t, h.URL, req)
+
+			var cfg RouterConfig
+			if mode == "old-snapshot" {
+				// The boot flags name b0 only: b1 is known from the
+				// snapshot's membership records alone.
+				cfg.CacheDir = t.TempDir()
+				oldSnap(t, h, cfg.CacheDir, req)
+				cfg.Backends = map[string]string{"b0": h.Members[0].URL}
+			}
+			rt, url := restartRouter(t, h, cfg)
+			served := func() {
+				t.Helper()
+				for _, m := range h.Members {
+					if st, raw := do(t, m.URL, "GET", "/sessions/"+info.ID, nil); st != http.StatusOK {
+						t.Fatalf("%s after rejoin: %d %s", info.ID, st, raw)
+					}
+				}
+			}
+
+			rt.markDown("b1")
+			rt.Probe()
+			if rt.isDown("b1") {
+				t.Fatal("backend agreeing with its peer on an unknown session stayed down")
+			}
+			served()
+
+			b1 := h.Members[1]
+			b1.Kill()
+			if err := b1.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			rt.markDown("b1")
+			rt.Probe()
+			if !rt.isDown("b1") {
+				t.Fatalf("backend lacking %s rejoined", info.ID)
+			}
+			if st, _ := do(t, h.Members[0].URL, "GET", "/sessions/"+info.ID, nil); st != http.StatusOK {
+				t.Fatalf("%s lost from b0: %d", info.ID, st)
+			}
+			if info := createSession(t, url, req); info.ID != "s2" {
+				t.Fatalf("restarted router minted %s, want s2", info.ID)
+			}
+		})
+	}
 }

@@ -25,8 +25,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -123,6 +127,7 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("POST /sessions", s.handleCreateSession)
+	mux.HandleFunc("PUT /sessions/{id}", s.handleCreateSession)
 	mux.HandleFunc("GET /sessions", s.handleListSessions)
 	mux.HandleFunc("GET /sessions/{id}", s.handleGetSession)
 	mux.HandleFunc("DELETE /sessions/{id}", s.handleDeleteSession)
@@ -343,11 +348,12 @@ func (s *Server) PersistStats() *persist.Stats {
 // admit acquires a worker slot for one analysis request, waiting in the
 // bounded queue if all slots are busy. It returns a release function, or
 // an error (429 when the queue is full, 503 when the caller gave up).
-func (s *Server) admit(r *http.Request) (func(), *httpError) {
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func()) {
+	release = func() { <-s.sem }
 	select {
 	case s.sem <- struct{}{}:
 		s.accepted.Add(1)
-		return func() { <-s.sem }, nil
+		return release
 	default:
 	}
 	if s.queued.Add(1) > int64(s.cfg.MaxQueue) {
@@ -357,31 +363,42 @@ func (s *Server) admit(r *http.Request) (func(), *httpError) {
 			detail: ErrorDetail{Code: "overloaded",
 				Message: fmt.Sprintf("all %d workers busy and %d requests queued", s.cfg.Workers, s.cfg.MaxQueue)}}
 		he.retryAfter = "1"
-		return nil, he
+		writeError(w, he)
+		return nil
 	}
 	select {
 	case s.sem <- struct{}{}:
 		s.queued.Add(-1)
 		s.accepted.Add(1)
-		return func() { <-s.sem }, nil
+		return release
 	case <-r.Context().Done():
 		s.queued.Add(-1)
 		s.rejected.Add(1)
-		return nil, &httpError{status: http.StatusServiceUnavailable,
-			detail: ErrorDetail{Code: "canceled", Message: "request canceled while queued"}}
+		writeError(w, &httpError{status: http.StatusServiceUnavailable,
+			detail: ErrorDetail{Code: "canceled", Message: "request canceled while queued"}})
+		return nil
 	}
 }
 
-// lookup finds a session by path id.
-func (s *Server) lookup(r *http.Request) (*session, *httpError) {
+// lookup finds the session named by the path and, when v is non-nil,
+// strictly decodes the request body into it. On failure it writes the
+// error and returns nil.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request, v any) *session {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	sess := s.sessions[id]
 	s.mu.Unlock()
+	var he *httpError
 	if sess == nil {
-		return nil, errNotFound("no session %q", id)
+		he = errNotFound("no session %q", id)
+	} else if v != nil {
+		he = decodeJSON(w, r, v)
 	}
-	return sess, nil
+	if he != nil {
+		writeError(w, he)
+		return nil
+	}
+	return sess
 }
 
 // deadlineFor resolves a request's absolute deadline (zero: unbounded).
@@ -399,7 +416,12 @@ func (s *Server) deadlineFor(ms int64) time.Time {
 const maxBodyBytes = 8 << 20
 
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeStrict decodes one JSON value, refusing unknown fields.
+func decodeStrict(rd io.Reader, v any) *httpError {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return errBadRequest("decoding request body: %v", err)
@@ -407,50 +429,85 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) *httpError {
 	return nil
 }
 
-// createSession allocates an id, builds the session (compile, profile,
-// plan-validate, warm pools) and registers it.
-func (s *Server) createSession(req *CreateSessionRequest) (*session, *httpError) {
+// createSession builds a session (compile, profile, plan-validate, warm
+// pools) and registers it as s<n>. n == 0 mints the next ID; a given n
+// (PUT /sessions/s<n>) moves the counter past it, so the IDs this
+// instance mints later never collide with it, and is refused with 409
+// if s<n> exists, before the build and again once it is built (two
+// concurrent PUTs of one ID).
+func (s *Server) createSession(n int, req *CreateSessionRequest) (*session, *httpError) {
+	exists := func(id string) *httpError {
+		return &httpError{status: http.StatusConflict,
+			detail: ErrorDetail{Code: "session_exists", Message: fmt.Sprintf("session %s already exists", id)}}
+	}
 	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("s%d", s.nextID)
+	if n == 0 {
+		s.nextID++
+		n = s.nextID
+	}
+	s.nextID = max(s.nextID, n)
+	id := "s" + strconv.Itoa(n)
+	_, taken := s.sessions[id]
 	s.mu.Unlock()
+	if taken {
+		return nil, exists(id)
+	}
 
 	sess, he := newSession(id, req, s.cfg, s.fleet)
 	if he != nil {
 		return nil, he
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, taken := s.sessions[id]; taken {
+		return nil, exists(id)
+	}
 	s.sessions[id] = sess
 	s.order = append(s.order, id)
-	s.mu.Unlock()
 	return sess, nil
+}
+
+// parseSessionID returns n for a canonical session ID "s<n>" (0 < n <
+// 2^31, no sign or leading zeros).
+func parseSessionID(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "s"))
+	return n, err == nil && n > 0 && n < 1<<31 && "s"+strconv.Itoa(n) == id
 }
 
 // Preload loads an embedded benchmark as a session outside the HTTP path
 // (startup convenience; plan validation applies exactly as on POST
 // /sessions).
 func (s *Server) Preload(bench string) (SessionInfo, error) {
-	sess, he := s.createSession(&CreateSessionRequest{Bench: bench})
+	sess, he := s.createSession(0, &CreateSessionRequest{Bench: bench})
 	if he != nil {
 		return SessionInfo{}, fmt.Errorf("%s: %s", he.detail.Code, he.detail.Message)
 	}
 	return sess.info(), nil
 }
 
+// handleCreateSession serves POST /sessions (this instance mints the ID)
+// and PUT /sessions/{id} (the caller — the fleet router — did).
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
+	n := 0
+	if id := r.PathValue("id"); id != "" {
+		var ok bool
+		if n, ok = parseSessionID(id); !ok {
+			writeError(w, errBadRequest("malformed session id %q (want s<n>)", id))
+			return
+		}
+	}
 	var req CreateSessionRequest
 	if he := decodeJSON(w, r, &req); he != nil {
 		writeError(w, he)
 		return
 	}
-	release, he := s.admit(r)
-	if he != nil {
-		writeError(w, he)
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
 	defer release()
 
-	sess, he := s.createSession(&req)
+	sess, he := s.createSession(n, &req)
 	if he != nil {
 		writeError(w, he)
 		return
@@ -458,25 +515,29 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, sess.info())
 }
 
-func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+// ordered returns the sessions in creation order.
+func (s *Server) ordered() []*session {
 	s.mu.Lock()
-	out := make([]SessionInfo, 0, len(s.order))
-	for _, id := range s.order {
-		if sess := s.sessions[id]; sess != nil {
-			out = append(out, sess.info())
-		}
+	defer s.mu.Unlock()
+	out := make([]*session, len(s.order))
+	for i, id := range s.order {
+		out[i] = s.sessions[id]
 	}
-	s.mu.Unlock()
+	return out
+}
+
+func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
+	out := []SessionInfo{}
+	for _, sess := range s.ordered() {
+		out = append(out, sess.info())
+	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGetSession(w http.ResponseWriter, r *http.Request) {
-	sess, he := s.lookup(r)
-	if he != nil {
-		writeError(w, he)
-		return
+	if sess := s.lookup(w, r, nil); sess != nil {
+		writeJSON(w, http.StatusOK, sess.info())
 	}
-	writeJSON(w, http.StatusOK, sess.info())
 }
 
 func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
@@ -484,12 +545,7 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	_, ok := s.sessions[id]
 	delete(s.sessions, id)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.order = slices.DeleteFunc(s.order, func(o string) bool { return o == id })
 	s.mu.Unlock()
 	if !ok {
 		writeError(w, errNotFound("no session %q", id))
@@ -499,14 +555,9 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
-	sess, he := s.lookup(r)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
 	var req AnalyzeRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		writeError(w, he)
+	sess := s.lookup(w, r, &req)
+	if sess == nil {
 		return
 	}
 	scheme, he := parseScheme(req.Scheme)
@@ -527,9 +578,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	release, he := s.admit(r)
-	if he != nil {
-		writeError(w, he)
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
 	defer release()
@@ -584,14 +634,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	sess, he := s.lookup(r)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
 	var req QueryRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		writeError(w, he)
+	sess := s.lookup(w, r, &req)
+	if sess == nil {
 		return
 	}
 	scheme, he := parseScheme(req.Scheme)
@@ -620,9 +665,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	release, he := s.admit(r)
-	if he != nil {
-		writeError(w, he)
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
 	defer release()
@@ -659,19 +703,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // answer predicated on them, re-resolve under the degraded plan (see
 // session.observe).
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	sess, he := s.lookup(r)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
 	var req ObserveRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		writeError(w, he)
+	sess := s.lookup(w, r, &req)
+	if sess == nil {
 		return
 	}
-	release, he := s.admit(r)
-	if he != nil {
-		writeError(w, he)
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
 	defer release()
@@ -689,19 +727,13 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 // runtime (see session.execute). Misspeculation is a 200 with recovery
 // visible in the report; only a program that cannot execute is an error.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	sess, he := s.lookup(r)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
 	var req ExecuteRequest
-	if he := decodeJSON(w, r, &req); he != nil {
-		writeError(w, he)
+	sess := s.lookup(w, r, &req)
+	if sess == nil {
 		return
 	}
-	release, he := s.admit(r)
-	if he != nil {
-		writeError(w, he)
+	release := s.admit(w, r)
+	if release == nil {
 		return
 	}
 	defer release()
@@ -723,13 +755,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	sessions := s.ordered()
 	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.order))
-	for _, id := range s.order {
-		if sess := s.sessions[id]; sess != nil {
-			sessions = append(sessions, sess)
-		}
-	}
 	draining := s.draining
 	inflight := s.inflight
 	s.mu.Unlock()

@@ -284,20 +284,20 @@ func TestAdmissionControl(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := httptest.NewRequest("POST", "/x", nil).WithContext(ctx)
 	srv.queued.Add(-1) // make room in the queue so admit() blocks
-	done := make(chan *httpError, 1)
+	done := make(chan int, 1)
 	go func() {
-		release, he := srv.admit(r)
-		if release != nil {
+		rec := httptest.NewRecorder()
+		if release := srv.admit(rec, r); release != nil {
 			release()
 		}
-		done <- he
+		done <- rec.Code
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	select {
-	case he := <-done:
-		if he == nil || he.status != http.StatusServiceUnavailable {
-			t.Fatalf("queued+canceled admit = %+v, want 503", he)
+	case code := <-done:
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("queued+canceled admit answered %d, want 503", code)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("admit did not observe cancellation")
